@@ -20,7 +20,6 @@ The package is organised around the pair (Hurst index H, Hermite order k):
 from hermkit.kernel import (
     HermiteSpec,
     KernelConstants,
-    QuadConfig,
     QuadResult,
     QuadratureError,
     covariance,
@@ -87,7 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HermiteSpec",
     "KernelConstants",
-    "QuadConfig",
     "QuadResult",
     "QuadratureError",
     "covariance",

@@ -54,7 +54,7 @@ JSON.  All randomness derives from the root seed, so reruns are
 byte-identical; wall time goes to standard error only.
 
 Exit status: 0 on success, 2 on validation/usage errors, 1 on numerical
-failures (quadrature budget exhausted, unstable march).
+failures (kernel constants beyond the double range, unstable march).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .kernel import HermiteSpec, QuadratureError, kernel_l2_norm_sq, normalizing_constant
+from .kernel import HermiteSpec, kernel_l2_norm_sq, normalizing_constant
 from .market import (
     AssetPath,
     BasicRate,
@@ -717,9 +717,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

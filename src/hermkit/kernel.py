@@ -13,17 +13,23 @@ bundled in :class:`KernelConstants`:
 
 * ``c_norm``  — the constant C making the process variance one at t=1,
   i.e. C = (sqrt(k!) * ||K_1||)^(-1);
-* ``l2_norm_at_1`` — the L2 norm ||K_1|| itself, always computed numerically
-  here (deterministic adaptive quadrature for k=1, stratified Monte Carlo
-  with importance tails for k>=2);
+* ``l2_norm_at_1`` — the L2 norm ||K_1|| itself;
 * ``d_const`` — D = ||K_1|| / sqrt(k!) = C * ||K_1||^2, the factor that turns
   a basic rate r(t) into the cumulative fractional rate D * r(t) * t^(2H).
 
-Closed forms for C at k=1 and k=2 are gamma-function expressions derived for
-exactly the kernel integrated by :func:`eval_kernel` (via the beta-integral
-identity for ``integral (s-y)_+^g (s'-y)_+^g dy``); they pin the process
-variance at one.  Beware that several other normalization conventions
-circulate for the same processes (for k=1 the two-sided moving-average kernel
+All three are exact for every order.  The beta-integral identity
+``integral (s-y)_+^g (s'-y)_+^g dy = B(1+g, -1-2g) |s-s'|^(1+2g)``, applied
+to each of the k factors and then integrated over [0, t]^2, gives
+
+    ||K_t||^2 = B(1+gamma, -1-2gamma)^k * t^(2H) / (H(2H-1))
+
+(Maejima & Tudor 2007).  For large k (or H very close to 1) this exceeds the
+double range, and the constants raise OverflowError rather than return inf.
+An adaptive quadrature of the order-1 norm is kept as an independent
+reference route for the identity.
+
+Beware that several other normalization conventions circulate for the same
+processes (for k=1 the two-sided moving-average kernel
 ``(t-v)_+^(H-1/2) - (-v)_+^(H-1/2)`` is common and differs from the kernel
 here by the factor H - 1/2); constants quoted for those conventions are not
 interchangeable with ``c_norm``.
@@ -34,16 +40,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gamma as _gamma, hyp2f1
+from scipy.special import beta as _beta, hyp2f1
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a norm computation cannot meet its accuracy budget."""
+    """Raised when the order-1 reference quadrature misses its accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -82,24 +87,6 @@ class HermiteSpec:
         return 1.0 + (self.hurst - 1.0) / self.order
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Accuracy/budget knobs for the L2-norm quadratures.
-
-    ``rel_tol`` is the adaptive-quadrature target for order 1; Monte Carlo
-    (order >= 2) draws ``mc_samples`` points and must reach an estimated
-    relative standard error of ``mc_rel_tol`` or a :class:`QuadratureError`
-    is raised.  ``nodes`` is the fixed Gauss-Legendre order used for the
-    vectorised kernel evaluations inside the Monte Carlo loop.
-    """
-
-    rel_tol: float = 1e-6
-    mc_samples: int = 600_000
-    mc_rel_tol: float = 1e-2
-    nodes: int = 96
-    seed: int = 2024
-
-
 class QuadResult(NamedTuple):
     value: float
     error: float
@@ -107,28 +94,16 @@ class QuadResult(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelConstants:
-    """The constants (C, D, ||K_1||) plus the norm's error estimate.
+    """The constants (C, D, ||K_1||); ``l2_error`` is 0.0 for the exact values.
 
-    Invariants (within the norm's reported tolerance):
-      * c_norm * sqrt(k!) * l2_norm_at_1 = 1
-      * d_const = l2_norm_at_1 / sqrt(k!)
+    Invariants: c_norm * sqrt(k!) * l2_norm_at_1 = 1 and
+    d_const = l2_norm_at_1 / sqrt(k!).
     """
 
     c_norm: float
     d_const: float
     l2_norm_at_1: float
     l2_error: float = 0.0
-
-    def consistency_residuals(self) -> tuple[float, float]:
-        """Return the two invariant residuals |c*sqrt(k!)*||K||-1| style
-        quantities, reconstructing k! from the constants themselves."""
-        # c_norm * sqrt(k!) * ||K_1|| = 1 and d = ||K_1||/sqrt(k!) together
-        # force  c_norm * d_const * (k!/k!) = c*d = ||K||^2/(something)...
-        # simplest faithful check: k! = (||K||/d)^2.
-        k_fact = (self.l2_norm_at_1 / self.d_const) ** 2
-        r1 = abs(self.c_norm * math.sqrt(k_fact) * self.l2_norm_at_1 - 1.0)
-        r2 = abs(self.d_const - self.l2_norm_at_1 / math.sqrt(k_fact))
-        return r1, r2
 
 
 @lru_cache(maxsize=64)
@@ -335,15 +310,18 @@ def eval_kernel_batch(
     return out
 
 
-def _l2_norm_sq_quad_k1(spec: HermiteSpec, t: float, cfg: QuadConfig) -> QuadResult:
-    """Deterministic route for order 1.
+def _l2_norm_sq_quad_k1(spec: HermiteSpec, t: float) -> QuadResult:
+    """Adaptive-quadrature ||K_t||^2 for order 1: a reference route only.
 
     For order 1 the kernel integral has the exact antiderivative
     K_t(v) = ((t-v)^p - max(-v,0)^p)/p with p = H - 1/2, so the squared-norm
     integrand is evaluated in closed form and integrated adaptively over
-    (-inf, 0] and [0, t] (the kink at 0 is a panel boundary).
+    (-inf, 0] and [0, t] (the kink at 0 is a panel boundary).  The public
+    functions use the beta identity; this numeric route is kept so the
+    identity can be checked against an independent computation.
     """
     p = spec.hurst - 0.5
+    rel_tol = 1e-6
 
     def k_sq(vv: float) -> float:
         if vv >= t:
@@ -353,382 +331,83 @@ def _l2_norm_sq_quad_k1(spec: HermiteSpec, t: float, cfg: QuadConfig) -> QuadRes
         return ((a - b) / p) ** 2
 
     val_neg, err_neg = integrate.quad(
-        k_sq, -np.inf, 0.0, epsrel=cfg.rel_tol, epsabs=0.0, limit=400
+        k_sq, -np.inf, 0.0, epsrel=rel_tol, epsabs=0.0, limit=400
     )
     val_pos, err_pos = integrate.quad(
-        k_sq, 0.0, t, epsrel=cfg.rel_tol, epsabs=0.0, limit=400
+        k_sq, 0.0, t, epsrel=rel_tol, epsabs=0.0, limit=400
     )
     value = val_neg + val_pos
     error = err_neg + err_pos
-    if error > 50.0 * cfg.rel_tol * abs(value):
+    if error > 50.0 * rel_tol * abs(value):
         raise QuadratureError(
             f"adaptive quadrature for the order-1 norm reported error {error:.3e} "
-            f"against value {value:.6e}, exceeding the {cfg.rel_tol:.1e} target"
+            f"against value {value:.6e}, exceeding the {rel_tol:.1e} target"
         )
     return QuadResult(value, error)
 
 
-def _pareto_tail_draw(rng: np.random.Generator, n: int, s0: float, alpha: float) -> np.ndarray:
-    return s0 * rng.random(n) ** (-1.0 / alpha)
+@lru_cache(maxsize=256)
+def _constants(spec: HermiteSpec) -> KernelConstants:
+    """(C, D, ||K_1||) from ||K_1||^2 = B(1+gamma, -1-2gamma)^k / (H(2H-1)).
 
-
-def _pareto_tail_logpdf(w: np.ndarray, s0: float, alpha: float) -> np.ndarray:
-    out = np.full(w.shape, -np.inf)
-    ok = w > s0
-    out[ok] = math.log(alpha / s0) - (alpha + 1.0) * np.log(w[ok] / s0)
-    return out
-
-
-def _coord_mixture_logpdf(w: np.ndarray, s0: float, alpha: float, omega: float) -> np.ndarray:
-    """log density of the per-coordinate core/tail mixture on (0, inf)."""
-    core = np.where((w > 0) & (w <= s0), omega / s0, 0.0)
-    tail = np.where(w > s0, (1.0 - omega) * (alpha / s0) * (w / s0) ** (-alpha - 1.0), 0.0)
-    dens = core + tail
-    with np.errstate(divide="ignore"):
-        return np.log(dens)
-
-
-class _MeanAccumulator:
-    """Running mean/standard-error over weighted Monte Carlo draws."""
-
-    def __init__(self) -> None:
-        self.sums = 0.0
-        self.sq_sums = 0.0
-        self.count = 0
-
-    def add(self, y: np.ndarray) -> None:
-        self.sums += float(y.sum())
-        self.sq_sums += float((y**2).sum())
-        self.count += y.size
-
-    def result(self, rel_tol: float) -> QuadResult:
-        mean = self.sums / self.count
-        var = max(self.sq_sums / self.count - mean**2, 0.0)
-        se = math.sqrt(var / self.count)
-        if mean <= 0:
-            raise QuadratureError("Monte Carlo norm estimate collapsed to zero")
-        if se / mean > rel_tol:
-            raise QuadratureError(
-                f"Monte Carlo norm estimate reached relative error {se / mean:.3e} "
-                f"with {self.count} samples; budget target is {rel_tol:.1e}"
-            )
-        return QuadResult(mean, se)
-
-
-def _l2_norm_sq_mc_order2(spec: HermiteSpec, t: float, cfg: QuadConfig) -> QuadResult:
-    """Importance-sampled squared norm for order 2, on the exact kernel.
-
-    Works in distance coordinates w = t - v.  Two proposal components:
-    independent draws from the per-coordinate core/tail mixture, and a ridge
-    component placing one coordinate at a power-law offset |eps| from the
-    other, matched to the kernel's tie singularity K ~ eps^(1+2*gamma).  The
-    realised offset is threaded through to the kernel and the density, so
-    pairs closer than one ulp (where the subtraction w1 - w2 rounds to zero)
-    still weight correctly; with the exact evaluator the importance ratio is
-    uniformly bounded over the whole domain, giving finite variance for all
-    admissible H.
+    The one home of the kernel constants; cached, so the rate code's many
+    ``d_constant`` calls are dictionary lookups.  Raises OverflowError when
+    ||K_1||^2 is not a finite double (large k, or H very close to 1).  A
+    finite ||K_1||^2 implies k < 144, because B(a, b) > 1/b = k/(2(1-H)) > k,
+    so sqrt(k!) below never overflows.
     """
-    g = spec.gamma
-    alpha = -(1.0 + 2.0 * g)
-    s0 = 2.0 * t
-    omega = 0.7  # in-core mass of the per-coordinate mixture
-    theta = 4.0 * g + 3.0  # ridge offset CDF power, in (0, 1)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, 2, int(1e9 * spec.hurst)])
-    )
-    n_total = cfg.mc_samples
-    n_indep = n_total // 2
-    n_ridge = n_total - n_indep
-    lam_i = n_indep / n_total
-    lam_r = n_ridge / n_total
-
-    def draw_coord(n: int) -> np.ndarray:
-        u = rng.random(n)
-        core = rng.random(n) * s0
-        tail = _pareto_tail_draw(rng, n, s0, alpha)
-        return np.where(u < omega, core, tail)
-
-    def log_mix(w1: np.ndarray, w2: np.ndarray, d: np.ndarray) -> np.ndarray:
-        per1 = _coord_mixture_logpdf(w1, s0, alpha, omega)
-        per2 = _coord_mixture_logpdf(w2, s0, alpha, omega)
-        log_indep = math.log(lam_i) + per1 + per2
-        with np.errstate(divide="ignore"):
-            log_g = np.where(
-                (d > 0) & (d < s0),
-                math.log(theta / (2.0 * s0)) + (theta - 1.0) * np.log(d / s0),
-                -np.inf,
-            )
-        log_ridge = (
-            math.log(lam_r)
-            + np.logaddexp(per1, per2)
-            - math.log(2.0)
-            + log_g
+    h, k, g = spec.hurst, spec.order, spec.gamma
+    try:
+        norm_sq = float(_beta(1.0 + g, -1.0 - 2.0 * g)) ** k / (h * (2.0 * h - 1.0))
+    except OverflowError:
+        norm_sq = math.inf
+    if not math.isfinite(norm_sq):
+        raise OverflowError(
+            f"||K_1||^2 is not a finite double for hurst={h}, order={k}"
         )
-        return np.logaddexp(log_indep, log_ridge)
-
-    acc = _MeanAccumulator()
-    chunk = 50_000
-
-    def accumulate(w1: np.ndarray, w2: np.ndarray, d: np.ndarray) -> None:
-        for i in range(0, w1.size, chunk):
-            c1, c2, cd = w1[i : i + chunk], w2[i : i + chunk], d[i : i + chunk]
-            y = np.zeros(c1.size)
-            ok = (c1 > 0) & (c2 > 0)
-            if np.any(ok):
-                a = t - np.minimum(c1[ok], c2[ok])
-                kv = _pair_kernel_exact(g, t, a, cd[ok])
-                # d == 0 only on float collisions of independent draws: a
-                # measure-zero slice of the integral, dropped rather than
-                # letting the tie's genuine +inf poison the average.
-                kv = np.where(np.isfinite(kv), kv, 0.0)
-                y[ok] = kv**2 * np.exp(-log_mix(c1[ok], c2[ok], cd[ok]))
-            acc.add(y)
-
-    w1 = draw_coord(n_indep)
-    w2 = draw_coord(n_indep)
-    accumulate(w1, w2, np.abs(w1 - w2))
-
-    base = draw_coord(n_ridge)
-    d = s0 * rng.random(n_ridge) ** (1.0 / theta)
-    other = base + np.where(rng.random(n_ridge) < 0.5, d, -d)
-    swap = rng.random(n_ridge) < 0.5
-    w1 = np.where(swap, other, base)
-    w2 = np.where(swap, base, other)
-    accumulate(w1, w2, d)
-
-    return acc.result(cfg.mc_rel_tol)
-
-
-def _l2_norm_sq_mc(spec: HermiteSpec, t: float, cfg: QuadConfig) -> QuadResult:
-    """Stratified Monte Carlo for orders >= 2.
-
-    Written in the distance coordinates w = t - v, each in (0, inf).  The
-    integrand K_t(t - w)^2 has two features a plain proposal misses:
-
-    * heavy tails ~ prod_j w_j^(2*gamma) as coordinates grow, matched by a
-      per-coordinate Pareto tail of index alpha = -(1 + 2*gamma);
-    * a power ridge along coordinate ties w_i = w_j, where the kernel blows
-      up like |w_i - w_j|^(1 + 2*gamma); the squared integrand has infinite
-      plain-MC variance for small H, so a dedicated ridge component samples
-      pair offsets from the matching power law |eps|^(4*gamma + 2).
-
-    Order 2 uses the exact kernel evaluator and unrestricted offsets (see
-    :func:`_l2_norm_sq_mc_order2`).  Orders >= 3 keep one cluster component
-    per coordinate subset of size m >= 2 (ties of every multiplicity are
-    singular, and each needs its own matched radial law r^(theta_m - 1),
-    theta_m = 1 + 2*m*(H-1)/k, for the importance ratio to stay bounded);
-    their kernels come from fixed-node quadrature whose tie resolution is
-    finite, so cluster radii are floored at 1e-4 * s0 with the truncated
-    density renormalised exactly.  The mixture still covers the excluded
-    slivers through the independent component, keeping the estimator
-    unbiased, but weights from below the floor carry quadrature error and
-    can make the reported standard error optimistic for H near 1/2.
-    Sampling is stratified over the proposal components (deterministic
-    allocation) with the full mixture density in the importance weight.
-    """
-    if spec.order == 2:
-        return _l2_norm_sq_mc_order2(spec, t, cfg)
-
-    k = spec.order
-    g = spec.gamma
-    alpha = -(1.0 + 2.0 * g)
-    s0 = 2.0 * t
-    omega = 0.7  # in-core mass of the per-coordinate mixture
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k, int(1e9 * spec.hurst)]))
-
-    subsets = [
-        s for m in range(2, k + 1) for s in combinations(range(k), m)
-    ]
-    # Deterministic allocation: an independent component plus one cluster
-    # component per subset.  The mixture weights in the importance density
-    # must equal the realised allocation fractions exactly, so they are
-    # derived from the integer sample counts.
-    n_total = cfg.mc_samples
-    n_indep = int(0.5 * n_total)
-    n_clus = (n_total - n_indep) // len(subsets)
-    n_actual = n_indep + len(subsets) * n_clus
-    lam_indep = n_indep / n_actual
-    lam_clus = n_clus / n_actual
-
-    floor = 1e-4  # radial floor, relative to s0
-
-    def theta_m(m: int) -> float:
-        return m + 1.0 + 2.0 * m * g
-
-    def sphere_area(m: int) -> float:
-        # surface area of the unit sphere in R^(m-1); 2 for m = 2
-        dim = m - 1
-        return 2.0 * math.pi ** (dim / 2.0) / _gamma(dim / 2.0)
-
-    def draw_coord(n: int) -> np.ndarray:
-        u = rng.random(n)
-        core = rng.random(n) * s0
-        tail = _pareto_tail_draw(rng, n, s0, alpha)
-        return np.where(u < omega, core, tail)
-
-    def draw_radius(n: int, m: int) -> np.ndarray:
-        th = theta_m(m)
-        r0 = floor**th
-        return s0 * (r0 + (1.0 - r0) * rng.random(n)) ** (1.0 / th)
-
-    def cluster_logpdf(w: np.ndarray, sub: tuple[int, ...]) -> np.ndarray:
-        """log density of the subset-tie component at rows of w."""
-        m = len(sub)
-        th = theta_m(m)
-        r0 = floor**th
-        per = _coord_mixture_logpdf(w, s0, alpha, omega)
-        others = per.sum(axis=1) - per[:, list(sub)].sum(axis=1)
-        ws = w[:, list(sub)]
-        diffs = ws[:, :, None] - ws[:, None, :]
-        radii = np.sqrt((diffs**2).sum(axis=1))  # (n, m): r_i per base choice
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_h = np.where(
-                (radii >= floor * s0) & (radii < s0),
-                math.log(th / (1.0 - r0))
-                + (th - 1.0) * np.log(radii / s0)
-                - math.log(s0)
-                - math.log(sphere_area(m))
-                - (m - 2.0) * np.log(radii),
-                -np.inf,
-            )
-        stack = per[:, list(sub)] + log_h  # (n, m) over base choices
-        mx = stack.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            sym = mx + np.log(np.exp(stack - mx[:, None]).sum(axis=1))
-        sym = np.where(np.isfinite(mx), sym, -np.inf)
-        return others + sym - math.log(m)
-
-    def mixture_logpdf(w: np.ndarray) -> np.ndarray:
-        per = _coord_mixture_logpdf(w, s0, alpha, omega)
-        comps = [np.log(lam_indep) + per.sum(axis=1)]
-        for sub in subsets:
-            comps.append(math.log(lam_clus) + cluster_logpdf(w, sub))
-        stack = np.vstack(comps)
-        mx = stack.max(axis=0)
-        return mx + np.log(np.exp(stack - mx).sum(axis=0))
-
-    def weighted_sq(w: np.ndarray) -> np.ndarray:
-        vals = np.zeros(w.shape[0])
-        ok = np.all(w > 0, axis=1)
-        if np.any(ok):
-            coords = t - w[ok]
-            kv = eval_kernel_batch(spec, t, coords, nodes=cfg.nodes)
-            vals[ok] = kv**2 * np.exp(-mixture_logpdf(w[ok]))
-        return vals
-
-    acc = _MeanAccumulator()
-    chunk = 100_000
-
-    def accumulate(w: np.ndarray) -> None:
-        for start in range(0, w.shape[0], chunk):
-            acc.add(weighted_sq(w[start : start + chunk]))
-
-    accumulate(np.column_stack([draw_coord(n_indep) for _ in range(k)]))
-    for sub in subsets:
-        m = len(sub)
-        w = np.column_stack([draw_coord(n_clus) for _ in range(k)])
-        radius = draw_radius(n_clus, m)
-        direction = rng.standard_normal((n_clus, m - 1))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        base_pos = rng.integers(0, m, n_clus)
-        for pos in range(m):
-            rows = base_pos == pos
-            if not np.any(rows):
-                continue
-            rest = [sub[j] for j in range(m) if j != pos]
-            offsets = radius[rows, None] * direction[rows]
-            w[np.ix_(rows, rest)] = w[rows, sub[pos]][:, None] + offsets
-        accumulate(w)
-
-    return acc.result(cfg.mc_rel_tol)
-
-
-def kernel_l2_norm_sq(
-    spec: HermiteSpec, t: float, quad_config: QuadConfig | None = None
-) -> QuadResult:
-    """Numeric squared L2 norm ||K_t||^2 over R^order, with error estimate.
-
-    Order 1 uses deterministic adaptive quadrature (relative target
-    ``rel_tol``); order >= 2 uses the stratified importance sampler described
-    in the module docstring.  The norm obeys ||K_t||^2 = ||K_1||^2 * t^(2H);
-    the computation here is genuinely performed at the requested ``t`` (no
-    analytic rescaling), so scaling checks against that law are meaningful.
-    """
-    if t <= 0:
-        raise ValueError(f"t must be positive; got {t}")
-    cfg = quad_config or QuadConfig()
-    if spec.order == 1:
-        return _l2_norm_sq_quad_k1(spec, t, cfg)
-    return _l2_norm_sq_mc(spec, t, cfg)
-
-
-def _c_norm_closed_form(spec: HermiteSpec) -> float:
-    """Gamma-expression normalizing constants for orders 1 and 2.
-
-    Both make the motion's variance at t=1 exactly one for the kernel
-    integrated by :func:`eval_kernel`; they follow from the beta identity
-    integral (s-y)_+^g (s'-y)_+^g dy = B(1+g, -1-2g) |s-s'|^(1+2g).
-    """
-    h = spec.hurst
-    if spec.order == 1:
-        return math.sqrt(
-            h * (2.0 * h - 1.0) * _gamma(1.5 - h) / (_gamma(h - 0.5) * _gamma(2.0 - 2.0 * h))
-        )
-    if spec.order == 2:
-        return (
-            _gamma(1.0 - h / 2.0)
-            * math.sqrt((h / 2.0) * (2.0 * h - 1.0))
-            / (_gamma(h / 2.0) * _gamma(1.0 - h))
-        )
-    raise ValueError("closed forms are available only for orders 1 and 2")
-
-
-def d_constant(spec: HermiteSpec, quad_config: QuadConfig | None = None) -> float:
-    """The rate multiplier D = ||K_1|| / sqrt(k!) = 1/(k! * C).
-
-    Closed form for orders 1 and 2; numeric norm otherwise (cached)."""
-    if spec.order <= 2:
-        return 1.0 / (math.factorial(spec.order) * _c_norm_closed_form(spec))
-    return _numeric_constants(spec, quad_config or QuadConfig()).d_const
-
-
-@lru_cache(maxsize=32)
-def _numeric_constants(spec: HermiteSpec, cfg: QuadConfig) -> KernelConstants:
-    norm_sq = kernel_l2_norm_sq(spec, 1.0, cfg)
-    l2 = math.sqrt(norm_sq.value)
-    l2_err = 0.5 * norm_sq.error / l2
-    sqrt_fact = math.sqrt(math.factorial(spec.order))
+    l2 = math.sqrt(norm_sq)
+    sqrt_fact = math.sqrt(math.factorial(k))
     return KernelConstants(
         c_norm=1.0 / (sqrt_fact * l2),
         d_const=l2 / sqrt_fact,
         l2_norm_at_1=l2,
-        l2_error=l2_err,
     )
 
 
-def normalizing_constant(
-    spec: HermiteSpec, quad_config: QuadConfig | None = None
-) -> KernelConstants:
-    """Return (C, D, ||K_1||) for the spec.
+def kernel_l2_norm_sq(spec: HermiteSpec, t: float) -> QuadResult:
+    """Squared L2 norm ||K_t||^2 = ||K_1||^2 * t^(2H) over R^order.
 
-    Orders 1 and 2 take C and D from the exact gamma-function closed forms
-    and still fill ``l2_norm_at_1`` from the numeric quadrature/Monte Carlo
-    pipeline, so the bundled invariants cross-validate two independent
-    routes.  Orders >= 3 are fully numeric.
+    Exact for every order, so ``error`` is 0.0.  Raises OverflowError when
+    the value is not a finite double.
     """
-    cfg = quad_config or QuadConfig()
-    if spec.order >= 3:
-        return _numeric_constants(spec, cfg)
-    c = _c_norm_closed_form(spec)
-    d = 1.0 / (math.factorial(spec.order) * c)
-    norm_sq = kernel_l2_norm_sq(spec, 1.0, cfg)
-    l2 = math.sqrt(norm_sq.value)
-    return KernelConstants(
-        c_norm=c,
-        d_const=d,
-        l2_norm_at_1=l2,
-        l2_error=0.5 * norm_sq.error / l2 if l2 > 0 else math.inf,
-    )
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite; got {t}")
+    norm_sq_at_1 = _constants(spec).l2_norm_at_1 ** 2
+    try:
+        value = norm_sq_at_1 * t ** (2.0 * spec.hurst)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(
+            f"||K_t||^2 at t={t} is not a finite double for hurst={spec.hurst}, "
+            f"order={spec.order}"
+        )
+    return QuadResult(value, 0.0)
+
+
+def d_constant(spec: HermiteSpec) -> float:
+    """The rate multiplier D = ||K_1|| / sqrt(k!) = 1/(k! * C)."""
+    return _constants(spec).d_const
+
+
+def normalizing_constant(spec: HermiteSpec) -> KernelConstants:
+    """Return (C, D, ||K_1||) for the spec, exact for every order.
+
+    All three come from the beta identity for ||K_1||^2 (see the module
+    docstring); ``l2_error`` is 0.0.  Raises OverflowError when ||K_1||^2
+    is not a finite double.
+    """
+    return _constants(spec)
 
 
 def covariance(spec: HermiteSpec, s, t):

@@ -30,6 +30,7 @@ from hermkit import (
     futures_march,
     futures_residual,
     kernel_l2_norm_sq,
+    normalizing_constant,
     power_derivative_beta,
     price_characteristics,
     price_fd,
@@ -40,6 +41,7 @@ from hermkit import (
     stratonovich_integral,
 )
 from hermkit.cli import main as cli_main
+from hermkit.kernel import _l2_norm_sq_quad_k1
 from hermkit.pricing import SmoothField
 from hermkit.stats import centered_qv, estimate_hurst, lrd_coefficient, lrd_limit, qv_scaling_exponent
 
@@ -63,23 +65,31 @@ def _market(spec, mu=0.08, r=0.05, sigma=0.2, s0=1.0, delta=0.0):
 
 
 def test_criterion_01_normalizing_constants(acceptance_report):
-    worst = {1: 0.0, 2: 0.0}
+    worst = worst_quad = 0.0
     slowest = 0.0
-    for order, _tol in ((1, 1e-3), (2, 2e-2)):
+    for order in (1, 2, 3, 4):
         for h in (0.6, 0.7, 0.8):
+            spec = HermiteSpec(h, order)
             started = time.perf_counter()
-            norm_sq = kernel_l2_norm_sq(HermiteSpec(h, order), 1.0)
+            norm_sq = kernel_l2_norm_sq(spec, 1.0)
+            consts = normalizing_constant(spec)
             slowest = max(slowest, time.perf_counter() - started)
-            c_numeric = 1.0 / math.sqrt(math.factorial(order) * norm_sq.value)
+            c_from_norm = 1.0 / math.sqrt(math.factorial(order) * norm_sq.value)
             c_exact = _c_closed_form(h, order)
-            worst[order] = max(worst[order], abs(c_numeric - c_exact) / c_exact)
-    ok = worst[1] < 1e-3 and worst[2] < 2e-2 and slowest < 60.0
+            worst = max(worst, abs(c_from_norm - c_exact) / c_exact,
+                        abs(consts.c_norm - c_exact) / c_exact)
+            if order == 1:
+                # independent numeric route: adaptive quadrature of ||K_1||^2
+                quad = _l2_norm_sq_quad_k1(spec, 1.0).value
+                c_quad = 1.0 / math.sqrt(quad)
+                worst_quad = max(worst_quad, abs(c_quad - c_exact) / c_exact)
+    ok = worst < 1e-12 and worst_quad < 1e-7 and slowest < 60.0
     acceptance_report(1, ok,
-            f"numeric-norm C vs closed form: rel {worst[1]:.2e} (order 1, "
-            f"tol 1e-3), {worst[2]:.2e} (order 2, tol 2e-2); "
-            f"slowest spec {slowest:.1f}s (< 60s)")
-    assert worst[1] < 1e-3
-    assert worst[2] < 2e-2
+            f"kernel-norm C vs beta closed form, orders 1-4: rel {worst:.2e} "
+            f"(tol 1e-12); order-1 quadrature C: rel {worst_quad:.2e} (tol 1e-7); "
+            f"slowest spec {slowest:.3f}s (< 60s)")
+    assert worst < 1e-12
+    assert worst_quad < 1e-7
     assert slowest < 60.0
 
 

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from scipy.special import beta as beta_fn
 
 from hermkit.cli import config_digest, emit_plotdata, load_config, main
 
@@ -91,11 +92,25 @@ def test_domain_error_exits_2(tmp_path, capsys):
     assert "(0.5, 1)" in capsys.readouterr().err
 
 
-def test_quadrature_failure_exits_1(tmp_path, capsys):
-    code = main(["kernel", "--hurst", "0.55", "--order", "3",
+def test_kernel_overflow_exits_1(tmp_path, capsys):
+    # ||K_1||^2 ~ e^1164 at order 200 is beyond the double range
+    code = main(["kernel", "--hurst", "0.7", "--order", "200",
                  "--out", str(tmp_path)])
     assert code == 1
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "order=200" in err
+
+
+def test_kernel_order3_matches_beta_oracle(tmp_path):
+    assert main(["kernel", "--hurst", "0.55", "--order", "3",
+                 "--out", str(tmp_path)]) == 0
+    payload = _read_json(tmp_path, "kernel.json")
+    g = (0.55 - 1.0) / 3 - 0.5
+    norm_sq = beta_fn(1.0 + g, -1.0 - 2.0 * g) ** 3 / (0.55 * (2 * 0.55 - 1.0))
+    assert payload["c_norm"] == pytest.approx(1.0 / math.sqrt(6.0 * norm_sq), rel=1e-12)
+    assert payload["d_const"] == pytest.approx(math.sqrt(norm_sq / 6.0), rel=1e-12)
+    assert payload["norm_sq_at_time"] == pytest.approx(norm_sq, rel=1e-12)
+    assert payload["l2_error"] == 0.0 and payload["norm_sq_error"] == 0.0
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

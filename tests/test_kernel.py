@@ -8,14 +8,12 @@ from scipy.special import beta as beta_fn
 
 from hermkit import (
     HermiteSpec,
-    QuadConfig,
-    QuadratureError,
     covariance,
     eval_kernel,
     kernel_l2_norm_sq,
     normalizing_constant,
 )
-from hermkit.kernel import d_constant
+from hermkit.kernel import _l2_norm_sq_quad_k1, d_constant, eval_kernel_batch
 
 # Independently derived gamma-function values of ||K_1||^2 and of the
 # normalizing constant C, frozen as oracles.  The closed form is
@@ -47,17 +45,20 @@ def test_spec_domain():
 
 @pytest.mark.parametrize("hurst", [0.6, 0.7, 0.8])
 def test_norm_sq_order1_quadrature(hurst):
-    res = kernel_l2_norm_sq(HermiteSpec(hurst, 1), 1.0)
+    # the independent numeric route agrees with the frozen values and the
+    # beta identity that the public functions use
+    res = _l2_norm_sq_quad_k1(HermiteSpec(hurst, 1), 1.0)
     assert res.value == pytest.approx(NORM_SQ_ORDER1[hurst], rel=1e-7)
+    assert res.value == pytest.approx(exact_norm_sq(HermiteSpec(hurst, 1)), rel=1e-7)
     assert res.error < 1e-5 * res.value
 
 
 @pytest.mark.parametrize("hurst", [0.6, 0.7, 0.8])
-def test_norm_sq_order2_monte_carlo(hurst):
+def test_norm_sq_order2_exact(hurst):
     res = kernel_l2_norm_sq(HermiteSpec(hurst, 2), 1.0)
-    assert res.value == pytest.approx(NORM_SQ_ORDER2[hurst], rel=3e-2)
-    # MC route against the analytic beta form, within its own error bars
-    assert abs(res.value - exact_norm_sq(HermiteSpec(hurst, 2))) < 4 * res.error
+    assert res.value == pytest.approx(NORM_SQ_ORDER2[hurst], rel=5e-6)
+    assert res.value == pytest.approx(exact_norm_sq(HermiteSpec(hurst, 2)), rel=1e-12)
+    assert res.error == 0.0
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -66,7 +67,7 @@ def test_norm_matches_beta_closed_form(hurst, order):
     spec = HermiteSpec(hurst, order)
     res = kernel_l2_norm_sq(spec, 1.0)
     rel = abs(res.value - exact_norm_sq(spec)) / exact_norm_sq(spec)
-    assert rel < (1e-7 if order == 1 else 3e-2)
+    assert rel < 1e-12
 
 
 @pytest.mark.parametrize("hurst,expected", sorted(C_ORDER1.items()))
@@ -81,25 +82,56 @@ def test_c_norm_closed_form_order2(hurst, expected):
     assert consts.c_norm == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("hurst", [0.55, 0.6, 0.75, 0.9, 0.99])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_constants_match_beta_oracle(order, hurst):
+    spec = HermiteSpec(hurst, order)
+    norm_sq = exact_norm_sq(spec)
+    k_fact = math.factorial(order)
+    consts = normalizing_constant(spec)
+    res = kernel_l2_norm_sq(spec, 1.0)
+    assert res.value == pytest.approx(norm_sq, rel=1e-12) and res.error == 0.0
+    assert consts.l2_norm_at_1 == pytest.approx(math.sqrt(norm_sq), rel=1e-12)
+    assert consts.c_norm == pytest.approx(1.0 / math.sqrt(k_fact * norm_sq), rel=1e-12)
+    assert consts.d_const == pytest.approx(math.sqrt(norm_sq / k_fact), rel=1e-12)
+    assert consts.l2_error == 0.0
+
+
+def test_order3_rate_constant_at_high_hurst():
+    # a frozen value, so the oracle's scipy beta is not the only reference
+    assert d_constant(HermiteSpec(0.9, 3)) == pytest.approx(32.28820964047, rel=1e-11)
+
+
+def test_constants_overflow_names_the_spec():
+    # ||K_1||^2 ~ e^1164 at order 200: a named error, never inf or NaN
+    spec = HermiteSpec(0.7, 200)
+    for fn in (normalizing_constant, d_constant, lambda s: kernel_l2_norm_sq(s, 1.0)):
+        with pytest.raises(OverflowError, match=r"hurst=0\.7, order=200"):
+            fn(spec)
+    with pytest.raises(OverflowError, match="order=2"):
+        kernel_l2_norm_sq(HermiteSpec(0.7, 2), 1e300)
+
+
 def test_constants_internal_consistency():
-    for spec in (HermiteSpec(0.7, 1), HermiteSpec(0.7, 2)):
+    for spec in (HermiteSpec(0.7, 1), HermiteSpec(0.7, 2), HermiteSpec(0.6, 5)):
         consts = normalizing_constant(spec)
-        r1, r2 = consts.consistency_residuals()
-        # closed-form C vs numeric ||K_1||: limited by the norm's error
-        tol = 5 * consts.l2_error / consts.l2_norm_at_1 + 1e-12
-        assert r1 < tol and r2 < tol
-        assert d_constant(spec) == pytest.approx(
-            consts.l2_norm_at_1 / math.sqrt(math.factorial(spec.order)),
-            rel=5 * consts.l2_error / consts.l2_norm_at_1 + 1e-12,
-        )
+        sqrt_fact = math.sqrt(math.factorial(spec.order))
+        assert consts.c_norm * sqrt_fact * consts.l2_norm_at_1 == pytest.approx(1.0, rel=1e-14)
+        assert consts.d_const == pytest.approx(consts.l2_norm_at_1 / sqrt_fact, rel=1e-14)
+        assert d_constant(spec) == consts.d_const
 
 
 def test_norm_time_scaling():
-    # ||K_t||^2 = t^(2H) ||K_1||^2
+    # ||K_t||^2 = t^(2H) ||K_1||^2, on the numeric route and the exact one
     spec = HermiteSpec(0.65, 1)
-    one = kernel_l2_norm_sq(spec, 1.0).value
-    two = kernel_l2_norm_sq(spec, 2.0).value
+    one = _l2_norm_sq_quad_k1(spec, 1.0).value
+    two = _l2_norm_sq_quad_k1(spec, 2.0).value
     assert two / one == pytest.approx(2.0 ** (2 * spec.hurst), rel=1e-9)
+    for order in (1, 3):
+        exact = HermiteSpec(0.65, order)
+        assert kernel_l2_norm_sq(exact, 2.0).value == pytest.approx(
+            2.0 ** (2 * exact.hurst) * exact_norm_sq(exact), rel=1e-13
+        )
 
 
 def test_eval_kernel_order1_analytic():
@@ -152,15 +184,15 @@ def test_eval_kernel_coordinate_count():
         eval_kernel(HermiteSpec(0.7, 1), -1.0, [0.1])
 
 
-def test_quadrature_error_when_budget_too_tight():
-    # low H at order 3 concentrates the norm near coordinate ties; the
-    # default sample budget cannot certify the target and must say so
-    spec = HermiteSpec(0.55, 3)
-    with pytest.raises(QuadratureError):
-        kernel_l2_norm_sq(spec, 1.0)
-    # an explicitly relaxed tolerance succeeds
-    res = kernel_l2_norm_sq(spec, 1.0, QuadConfig(mc_rel_tol=0.2))
-    assert res.value > 0.0
+@pytest.mark.parametrize("hurst", [0.6, 0.9])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_eval_kernel_batch_matches_pointwise(order, hurst):
+    spec = HermiteSpec(hurst, order)
+    rows = np.random.default_rng(11 + order).uniform(-2.0, 0.9, size=(200, order))
+    batch = eval_kernel_batch(spec, 1.0, rows)
+    single = np.array([eval_kernel(spec, 1.0, row) for row in rows])
+    assert np.all(single > 0.0)
+    np.testing.assert_allclose(batch, single, rtol=1e-9, atol=0.0)
 
 
 def test_covariance_basics():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 
 from hermkit import (
     AssetPath,
@@ -32,9 +33,9 @@ from hermkit.pricing import PriceField, SmoothField
 SPEC = HermiteSpec(0.7, 2)
 
 
-def _market(mu=0.08, r=0.05, sigma=0.2, s0=1.0, delta=0.0):
+def _market(mu=0.08, r=0.05, sigma=0.2, s0=1.0, delta=0.0, spec=SPEC):
     return MarketSpec(
-        spec=SPEC,
+        spec=spec,
         riskless=BasicRate.constant(r),
         drifts=(BasicRate.constant(mu),),
         volatility=np.array([[sigma]]),
@@ -246,6 +247,18 @@ def test_power_beta_validation():
 
 
 # --- bonds and the term structure -------------------------------------------
+
+
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("order", [3, 4])
+def test_bond_price_higher_orders(order, hurst):
+    # D from the beta identity, computed here without hermkit
+    g = (hurst - 1.0) / order - 0.5
+    norm_sq = beta_fn(1.0 + g, -1.0 - 2.0 * g) ** order / (hurst * (2.0 * hurst - 1.0))
+    d = math.sqrt(norm_sq / math.factorial(order))
+    lam = bond_price(_market(r=0.05, spec=HermiteSpec(hurst, order)), 0.0, 1.0)
+    assert math.isfinite(lam)
+    assert lam == pytest.approx(math.exp(-0.05 * d), rel=1e-12)
 
 
 def test_bond_price_identities():
