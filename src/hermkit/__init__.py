@@ -4,8 +4,8 @@ The package is organised around the pair (Hurst index H, Hermite order k):
 
 * :mod:`hermkit.kernel` — the moving-average kernel, its L2 norms and the
   normalizing constants every other module consumes.
-* :mod:`hermkit.simulate` — sample paths (exact fractional Brownian motion,
-  invariance-principle Hermite motions, subordinated market time) and
+* :mod:`hermkit.simulate` — sample paths (one engine for every order, exact
+  fractional Brownian motion at order 1; subordinated market time) and
   pathwise Stratonovich integration.
 * :mod:`hermkit.stats` — quadratic-variation statistics, scaling-regime
   checks, Hurst estimation and long-range-dependence diagnostics.

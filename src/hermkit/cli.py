@@ -93,8 +93,8 @@ from .pricing import (
     price_characteristics,
     term_structure,
 )
-from .simulate import SamplePath, simulate_fbm_exact, simulate_hermite_path
-from .stats import estimate_hurst, qv_normalizer, qv_regime_exponent
+from .simulate import _MAX_PATHS, SamplePath, _substream_seed, simulate_hermite_path
+from .stats import estimate_hurst, qv_ladder, qv_regime_exponent
 
 
 class CliError(Exception):
@@ -319,9 +319,16 @@ def _write_json(directory: Path, name: str, record: OutputRecord, payload: dict)
     return target
 
 
-def _path_seed(root: int, k: int) -> int:
-    """Per-path substream key: disjoint for k below 2^20."""
-    return (root << 20) ^ k
+def _run_setting(args, cfg: RunConfig | None, key: str, default, limit=math.inf):
+    """``--key``, else the config's [run] ``key``, else ``default``, which
+    must lie in (0, limit]; checked before anything is drawn or written."""
+    value = getattr(args, key)
+    if value is None and cfg is not None:
+        value = cfg.run.get(key)
+    value = default if value is None else value
+    if not 0 < value <= limit:
+        raise CliError(f"--{key} (or [run] {key}) must lie in (0, {limit}]; got {value}")
+    return value
 
 
 def _require(value, name: str):
@@ -351,17 +358,13 @@ def _market_from(cfg: RunConfig | None) -> MarketSpec:
 
 def _cmd_simulate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
     spec = _spec_from(args, cfg)
-    steps = int(args.steps or (cfg.run.get("steps") if cfg else None) or 1024)
-    horizon = float(args.horizon or (cfg.run.get("horizon") if cfg else None) or 1.0)
-    n_paths = int(args.paths or (cfg.run.get("paths") if cfg else None) or 1)
+    steps = _run_setting(args, cfg, "steps", 1024)
+    horizon = _run_setting(args, cfg, "horizon", 1.0)
+    n_paths = _run_setting(args, cfg, "paths", 1, _MAX_PATHS)
     at_one = []
     names = []
     for k in range(n_paths):
-        seed_k = _path_seed(record.seed, k)
-        if spec.order == 1:
-            sp = simulate_fbm_exact(spec.hurst, steps, horizon, seed_k)
-        else:
-            sp = simulate_hermite_path(spec, steps, horizon, seed_k)
+        sp = simulate_hermite_path(spec, steps, horizon, _substream_seed(record.seed, k))
         name = f"path_{k}.csv"
         with open(out_dir / name, "w", newline="") as buf:
             sp.to_csv(buf)
@@ -442,11 +445,9 @@ def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecor
 def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
     spec = _spec_from(args, cfg)
     blocks = sorted(_ints(args.blocks, "--blocks"))
-    mc_paths = int(args.paths or (cfg.run.get("paths") if cfg else None) or 200)
-    deltas = [
-        qv_normalizer(spec, n, float(args.block), mc_paths, record.seed + 7919 * j).value
-        for j, n in enumerate(blocks)
-    ]
+    mc_paths = _run_setting(args, cfg, "paths", 200, _MAX_PATHS)
+    ladder = qv_ladder(spec, blocks, float(args.block), mc_paths, record.seed)
+    deltas = [delta.value for delta in ladder]
     log_n = np.log(blocks)
     log_d = np.log(deltas)
     slope, intercept = (float(c) for c in np.polyfit(log_n, log_d, 1))
@@ -457,6 +458,8 @@ def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
         "hurst": spec.hurst,
         "order": spec.order,
         "blocks": blocks,
+        "deltas": deltas,
+        "delta_errors": [delta.error for delta in ladder],
         "block_length": float(args.block),
         "mc_paths": mc_paths,
         "slope": slope,
@@ -708,13 +711,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         record = dispatch(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:

@@ -266,48 +266,22 @@ def eval_kernel(spec: HermiteSpec, t: float, v) -> float:
     return prev
 
 
-def eval_kernel_batch(
-    spec: HermiteSpec, t: float, coords: np.ndarray, nodes: int = 96
-) -> np.ndarray:
-    """Vectorised K_t over rows of ``coords`` (shape (n, order)).
+def eval_kernel_batch(spec: HermiteSpec, t: float, coords: np.ndarray) -> np.ndarray:
+    """K_t over the rows of ``coords`` (shape (n, order)).
 
-    Order 2 dispatches to the exact hypergeometric reduction (``nodes`` is
-    then ignored).  Other orders use fixed-order Gauss-Legendre on the
-    singularity-absorbing substitution; meant for Monte Carlo inner loops
-    where rows are almost surely tie-free.  Rows whose largest coordinate
-    reaches t contribute exactly 0.
+    Order 2 evaluates the exact hypergeometric reduction vectorised over the
+    rows; other orders evaluate each row with :func:`eval_kernel`, so every
+    row gets the same accuracy as a pointwise call.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != spec.order:
         raise ValueError(
             f"coords must have shape (n, {spec.order}); got {coords.shape}"
         )
-    g = spec.gamma
-    p = 1.0 + g
-    srt = np.sort(coords, axis=1)[:, ::-1]
     if spec.order == 2:
-        return _pair_kernel_exact(g, t, srt[:, 0], srt[:, 0] - srt[:, 1])
-    m = srt[:, 0]
-    lo = np.maximum(m, 0.0)
-    active = lo < t
-    out = np.zeros(coords.shape[0])
-    if not np.any(active):
-        return out
-    srt = srt[active]
-    m = m[active]
-    lo = lo[active]
-    u_hi = (t - m) ** p
-    u_lo = (lo - m) ** p
-    half = 0.5 * (u_hi - u_lo)
-    mid = 0.5 * (u_hi + u_lo)
-    x, w = _leggauss(nodes)
-    u = mid[:, None] + half[:, None] * x[None, :]
-    s = m[:, None] + u ** (1.0 / p)
-    prod = np.ones_like(u)
-    for j in range(1, spec.order):
-        prod *= (s - srt[:, j, None]) ** g
-    out[active] = half * (prod @ w) / p
-    return out
+        srt = np.sort(coords, axis=1)[:, ::-1]
+        return _pair_kernel_exact(spec.gamma, t, srt[:, 0], srt[:, 0] - srt[:, 1])
+    return np.array([eval_kernel(spec, t, row) for row in coords])
 
 
 def _l2_norm_sq_quad_k1(spec: HermiteSpec, t: float) -> QuadResult:

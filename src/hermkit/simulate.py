@@ -1,13 +1,12 @@
 """Sample-path generation for Hermite motions and pathwise integration.
 
-Three generators, one integration tool:
+One path engine, one time change, one integration tool:
 
-* :func:`simulate_fbm_exact` — fractional Brownian motion with the exact
-  grid law (circulant-embedding fractional Gaussian noise, cumulated);
 * :func:`simulate_hermite_path` — any order k via the invariance-principle
   construction: partial sums of the order-k Hermite polynomial applied to a
   Gaussian sequence with Hurst index H' = 1 + (H-1)/k, normalized by the
-  exact partial-sum standard deviation so Var(X(1)) = 1;
+  exact partial-sum standard deviation so Var(X(1)) = 1; at k = 1 this is
+  exact fractional Brownian motion (:func:`simulate_fbm_exact`);
 * :func:`subordinate` — the market-time process S(t) = X(t^(1/2H)), whose
   variance is exactly t (self-similarity index 1/2, increments not
   stationary);
@@ -16,9 +15,9 @@ Three generators, one integration tool:
   (1-delta)*t_k + delta*t_{k+1} of each subinterval, and the first-order
   chain-rule defect computed with them.
 
-All generators are deterministic functions of (inputs, seed); Monte Carlo
-callers derive per-path substreams from (seed, path index) so batch results
-do not depend on scheduling order.
+Paths are deterministic functions of (inputs, seed); Monte Carlo callers
+seed path i of a run from (root seed, i) with :func:`_substream_seed`, so
+batch results do not depend on scheduling order.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, IO
 
 import numpy as np
@@ -107,6 +107,19 @@ def _rng(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
+_MAX_PATHS = 1 << 20
+
+
+def _substream_seed(root: int, index: int) -> int:
+    """Seed of path ``index`` in a run with root seed ``root``.
+
+    Distinct (root, index) pairs give distinct seeds only for index <
+    _MAX_PATHS (index 2^20 of root 0 is index 0 of root 1), so callers
+    reject larger path counts before drawing.
+    """
+    return (int(root) << 20) ^ index
+
+
 def fgn_covariance(hurst_prime: float, lags) -> np.ndarray:
     """Autocovariance rho(k) = 0.5*(|k+1|^2H' - 2|k|^2H' + |k-1|^2H')."""
     k = np.abs(np.asarray(lags, dtype=float))
@@ -174,6 +187,7 @@ def hermite_polynomial(m: int, x):
     return cur if cur.ndim else float(cur)
 
 
+@lru_cache(maxsize=256)
 def partial_sum_std(spec: HermiteSpec, n: int) -> float:
     """Exact standard deviation of sum_{j<n} He_k(xi_j) for fGn xi at H'.
 
@@ -198,12 +212,15 @@ def simulate_hermite_path(
     polynomial, and cumulates, dividing by the exact n-term partial-sum
     standard deviation: the value at t=1 has unit variance by construction,
     and the process converges in law to the unit-variance Hermite motion.
+    At order 1 nothing is asymptotic: H' = H, He_1 is the identity and the
+    normalizer is n^H, so the path is fBm with the exact grid law
+    (method ``"exact_fbm"``) for every n.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive; got {horizon}")
     if n <= 0:
         raise ValueError(f"steps per unit time must be positive; got {n}")
-    if n < 64:
+    if n < 64 and spec.order > 1:
         warnings.warn(
             f"n={n} steps per unit time is small; the invariance-principle "
             "law is asymptotic and finite-n bias will be noticeable",
@@ -214,24 +231,13 @@ def simulate_hermite_path(
     blocks = hermite_polynomial(spec.order, xi)
     values = np.concatenate([[0.0], np.cumsum(blocks)]) / partial_sum_std(spec, n)
     times = np.arange(m + 1) / n
-    return SamplePath(times, values, spec, "invariance_principle", seed)
+    method = "exact_fbm" if spec.order == 1 else "invariance_principle"
+    return SamplePath(times, values, spec, method, seed)
 
 
 def simulate_fbm_exact(hurst: float, n: int, horizon: float, seed: int) -> SamplePath:
-    """Fractional Brownian motion with the exact finite-dimensional grid law.
-
-    Fractional Gaussian noise increments scaled by (1/n)^H cumulate to a
-    Gaussian vector whose covariance matches
-    (t^2H + s^2H - |t-s|^2H)/2 exactly on the grid.
-    """
-    if horizon <= 0 or n <= 0:
-        raise ValueError("n and horizon must be positive")
-    spec = HermiteSpec(hurst, 1)
-    m = math.ceil(n * horizon)
-    xi = gen_fgn(hurst, m, seed).values
-    values = np.concatenate([[0.0], np.cumsum(xi)]) * (1.0 / n) ** hurst
-    times = np.arange(m + 1) / n
-    return SamplePath(times, values, spec, "exact_fbm", seed)
+    """Fractional Brownian motion with the exact grid law: the order-1 path."""
+    return simulate_hermite_path(HermiteSpec(hurst, 1), n, horizon, seed)
 
 
 def subordinate(
@@ -258,10 +264,7 @@ def subordinate(
         spec = source
         warped_horizon = horizon ** (1.0 / (2.0 * spec.hurst))
         fine_n = max(64, math.ceil(oversample * n * horizon / warped_horizon))
-        if spec.order == 1:
-            driver = simulate_fbm_exact(spec.hurst, fine_n, warped_horizon, seed)
-        else:
-            driver = simulate_hermite_path(spec, fine_n, warped_horizon, seed)
+        driver = simulate_hermite_path(spec, fine_n, warped_horizon, seed)
     times = np.arange(math.ceil(n * horizon) + 1) / n
     warped = times ** (1.0 / (2.0 * spec.hurst))
     if warped[-1] > driver.times[-1] * (1.0 + 1e-12):

@@ -25,9 +25,10 @@ import numpy as np
 
 from .kernel import HermiteSpec, QuadResult
 from .simulate import (
+    _MAX_PATHS,
     SamplePath,
+    _substream_seed,
     fgn_covariance,
-    simulate_fbm_exact,
     simulate_hermite_path,
 )
 
@@ -109,26 +110,17 @@ def _qv_paths(
 ):
     """Yield per-path QV statistics from fresh simulations.
 
-    Order 1 uses the exact generator at the block resolution; higher orders
-    use the invariance-principle construction on a finer grid (the block
-    must remain grid-aligned).
+    Order 1 is exact on any grid, so it runs on the coarsest block-aligned
+    one; higher orders need the finer ``steps_per_unit`` grid for the
+    invariance principle to hold (the block must remain grid-aligned).
     """
     horizon = (n_blocks + 1) * block
+    n = max(1, round(1.0 / block)) if spec.order == 1 else steps_per_unit
+    if abs(n * block - round(n * block)) > 1e-9:
+        n = steps_per_unit
     for i in range(mc_paths):
-        path_seed = _substream_key(seed, i)
-        if spec.order == 1:
-            n = max(1, round(1.0 / block))
-            if abs(n * block - round(n * block)) > 1e-9:
-                n = steps_per_unit
-            path = simulate_fbm_exact(spec.hurst, n, horizon, path_seed)
-        else:
-            path = simulate_hermite_path(spec, steps_per_unit, horizon, path_seed)
+        path = simulate_hermite_path(spec, n, horizon, _substream_seed(seed, i))
         yield centered_qv(path, spec.hurst, block).v_stat
-
-
-def _substream_key(seed: int, index: int) -> int:
-    # Stable scalar sub-seed; generators themselves hash (seed, index) again.
-    return (int(seed) << 20) ^ index
 
 
 def qv_normalizer(
@@ -146,6 +138,8 @@ def qv_normalizer(
     """
     if mc_paths < 100:
         raise ValueError("mc_paths must be at least 100 for a usable normalizer")
+    if mc_paths > _MAX_PATHS:
+        raise ValueError(f"mc_paths must be at most {_MAX_PATHS}; got {mc_paths}")
     v = np.fromiter(
         _qv_paths(spec, n_blocks, block, mc_paths, seed, steps_per_unit),
         dtype=float,
@@ -169,6 +163,25 @@ def qv_regime_exponent(spec: HermiteSpec) -> float:
     return 1.0 - 2.0 * (1.0 - spec.hurst) / spec.order
 
 
+def qv_ladder(
+    spec: HermiteSpec,
+    n_blocks_list,
+    block: float,
+    mc_paths: int,
+    seed: int,
+    steps_per_unit: int = 64,
+) -> list[QuadResult]:
+    """delta^(N) for each block count N, in ascending order of N.
+
+    Cell j of the sorted ladder runs :func:`qv_normalizer` with its own root
+    seed (``seed`` plus j times a fixed prime), so cells share no paths.
+    """
+    return [
+        qv_normalizer(spec, n, block, mc_paths, seed + 7919 * j, steps_per_unit)
+        for j, n in enumerate(sorted(int(n) for n in n_blocks_list))
+    ]
+
+
 def qv_scaling_exponent(
     spec: HermiteSpec,
     n_blocks_list,
@@ -177,7 +190,7 @@ def qv_scaling_exponent(
     seed: int,
     steps_per_unit: int = 64,
 ) -> float:
-    """Least-squares slope of log delta^(N) against log N.
+    """Least-squares slope of log delta^(N) against log N over :func:`qv_ladder`.
 
     Compare with :func:`qv_regime_exponent`; in the order-1, H > 3/4 regime
     the neglected log N factor inflates the fitted slope slightly.
@@ -185,10 +198,8 @@ def qv_scaling_exponent(
     n_list = sorted(int(n) for n in n_blocks_list)
     if len(set(n_list)) < 3 or n_list[-1] < 8 * n_list[0]:
         raise ValueError("need >= 3 distinct block counts spanning a factor of 8")
-    deltas = [
-        qv_normalizer(spec, n, block, mc_paths, seed + 7919 * j, steps_per_unit).value
-        for j, n in enumerate(n_list)
-    ]
+    ladder = qv_ladder(spec, n_list, block, mc_paths, seed, steps_per_unit)
+    deltas = [delta.value for delta in ladder]
     slope = np.polyfit(np.log(n_list), np.log(deltas), 1)[0]
     return float(slope)
 

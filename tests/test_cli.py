@@ -92,6 +92,30 @@ def test_domain_error_exits_2(tmp_path, capsys):
     assert "(0.5, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, run_section", [
+    pytest.param(["simulate", "--paths", "0", "--steps", "0"], "", id="simulate-zero-paths-steps"),
+    pytest.param(["simulate", "--paths", "-3"], "", id="simulate-negative-paths"),
+    pytest.param(["simulate", "--steps", "0"], "", id="simulate-zero-steps"),
+    pytest.param(["simulate", "--horizon", "0"], "", id="simulate-zero-horizon"),
+    pytest.param(["simulate", "--horizon", "-1.5"], "", id="simulate-negative-horizon"),
+    pytest.param(["simulate", "--paths", str(2**20 + 1)], "", id="simulate-too-many-paths"),
+    pytest.param(["simulate"], "paths = 0\n", id="simulate-config-zero-paths"),
+    pytest.param(["simulate", "--steps", "0"], "steps = 64\n", id="simulate-flag-over-config"),
+    pytest.param(["qv", "--paths", "0"], "", id="qv-zero-paths"),
+    pytest.param(["qv"], "paths = -1\n", id="qv-config-negative-paths"),
+    pytest.param(["qv", "--paths", str(2**20 + 1)], "", id="qv-too-many-paths"),
+])
+def test_bad_counts_and_horizon_exit_2_before_drawing(tmp_path, capsys, argv, run_section):
+    # an explicit 0 is not replaced by the config value or the default, and
+    # the check runs before any path is drawn or written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[process]\nhurst = 0.7\norder = 1\n[run]\n" + run_section)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_kernel_overflow_exits_1(tmp_path, capsys):
     # ||K_1||^2 ~ e^1164 at order 200 is beyond the double range
     code = main(["kernel", "--hurst", "0.7", "--order", "200",
@@ -219,6 +243,11 @@ def test_qv_scaling_outputs(tmp_path):
     payload = _read_json(out, "fit.json")
     assert math.isfinite(payload["slope"])
     assert payload["regime_exponent"] == pytest.approx(0.5)
+    assert payload["blocks"] == [8, 16]
+    assert len(payload["deltas"]) == len(payload["delta_errors"]) == 2
+    assert all(e > 0 for e in payload["delta_errors"])
+    log_delta = [float(line.split(",")[1]) for line in lines[1:]]
+    assert [math.exp(v) for v in log_delta] == pytest.approx(payload["deltas"], rel=1e-12)
 
 
 def test_estimate_round_trip(tmp_path):

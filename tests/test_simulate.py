@@ -137,6 +137,34 @@ def test_hermite_path_unit_variance_at_one():
     assert np.var(ends) == pytest.approx(1.0, abs=0.12)
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_hermite_path_is_the_explicit_construction(order):
+    spec = HermiteSpec(0.7, order)
+    n, horizon, seed = 64, 1.5, 123
+    path = simulate_hermite_path(spec, n, horizon, seed)
+    m = math.ceil(n * horizon)
+    xi = gen_fgn(spec.hurst_prime, m, seed).values
+    sums = np.concatenate([[0.0], np.cumsum(hermite_polynomial(order, xi))])
+    assert np.array_equal(path.values, sums / partial_sum_std(spec, n))
+    assert np.array_equal(path.times, np.arange(m + 1) / n)
+    assert path.method == "invariance_principle"
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.7, 0.99])
+@pytest.mark.parametrize("n", [4, 100, 4096])
+def test_order1_path_is_exact_fbm(hurst, n, recwarn):
+    # at order 1 the exact partial-sum normalizer is n^H, so the engine
+    # returns cumulated fGn scaled by n^-H, without the small-n warning
+    horizon, seed = 1.25, 31
+    path = simulate_hermite_path(HermiteSpec(hurst, 1), n, horizon, seed)
+    m = math.ceil(n * horizon)
+    expected = np.concatenate([[0.0], np.cumsum(gen_fgn(hurst, m, seed).values)]) * n ** -hurst
+    np.testing.assert_allclose(path.values, expected, rtol=1e-15, atol=0.0)
+    assert path.method == "exact_fbm"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert np.array_equal(simulate_fbm_exact(hurst, n, horizon, seed).values, path.values)
+
+
 def test_hermite_path_warns_for_tiny_n():
     with pytest.warns(RuntimeWarning, match="asymptotic"):
         simulate_hermite_path(HermiteSpec(0.7, 2), 16, 1.0, 0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hermkit import stats
 from hermkit import (
     HermiteSpec,
     SamplePath,
@@ -60,6 +61,16 @@ def test_qv_normalizer_positive_and_seeded():
     assert a.value > 0 and a.error > 0
     with pytest.raises(ValueError, match="at least 100"):
         qv_normalizer(spec, 8, 1.0, 10, seed=5)
+
+
+def test_qv_normalizer_rejects_overlapping_substreams(monkeypatch):
+    # path 2^20 of root seed s would reuse path 0 of root s + 1
+    def no_draws(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(stats, "simulate_hermite_path", no_draws)
+    with pytest.raises(ValueError, match="at most"):
+        qv_normalizer(HermiteSpec(0.6, 1), 8, 1.0, 2**20 + 1, seed=5)
 
 
 def test_qv_regime_exponent_values():
