@@ -321,13 +321,15 @@ def _write_json(directory: Path, name: str, record: OutputRecord, payload: dict)
 
 def _run_setting(args, cfg: RunConfig | None, key: str, default, limit=math.inf):
     """``--key``, else the config's [run] ``key``, else ``default``, which
-    must lie in (0, limit]; checked before anything is drawn or written."""
+    must be finite and lie in (0, limit]; checked before anything is drawn
+    or written."""
     value = getattr(args, key)
     if value is None and cfg is not None:
         value = cfg.run.get(key)
     value = default if value is None else value
-    if not 0 < value <= limit:
-        raise CliError(f"--{key} (or [run] {key}) must lie in (0, {limit}]; got {value}")
+    if not (0 < value <= limit and math.isfinite(value)):
+        raise CliError(f"--{key} (or [run] {key}) must be finite and lie in "
+                       f"(0, {limit}]; got {value}")
     return value
 
 

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+# unused here: perfbench's tracer wraps this name as pricing.spline_build
+from scipy.interpolate import CubicSpline  # noqa: F401
 from scipy.optimize import brentq
 
 from .market import (
@@ -493,6 +494,20 @@ def _invert_cumulative(market: MarketSpec, rho: float, horizon: float) -> float:
                         xtol=1e-14, rtol=8.9e-16))
 
 
+def _profile_at(profile: Callable, feet: np.ndarray, t) -> np.ndarray:
+    """Initial-profile values at characteristic feet reached at times ``t``,
+    each checked finite and above the zero threshold 1e-8."""
+    vals = np.asarray(profile(feet), dtype=float)
+    if vals.shape != feet.shape:
+        raise ValueError("initial profile must evaluate vectorised over the x grid")
+    bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 1e-8)))
+    if bad.size:
+        i, t_i = bad[0], np.broadcast_to(t, feet.shape)[bad[0]]
+        raise ValueError("initial profile must be finite and bounded away from zero; "
+                         f"got {vals[i]:.6g} at foot x={feet[i]:.6g}, t={t_i:.6g}")
+    return vals
+
+
 def futures_march(
     initial_profile: Callable,
     path,
@@ -504,28 +519,22 @@ def futures_march(
 
     The time variable is the cumulative riskless rate rho (uniform steps),
     where the equation reads dpsi/drho + psi_x = I/psi: a unit-speed
-    advection whose characteristic update each step squares to
+    advection of psi^2 with source 2I, so every row is exactly
 
-        psi(x, rho+h)^2 = psi(x-h, rho)^2 + 2 * (J(rho+h) - J(rho)),
+        psi(x, rho)^2 = psi0(x - rho)^2 + 2 J(rho),
 
-    J the rho-antiderivative of I.  The step interpolates psi^2 cubically
-    at the departure points, accumulates I by trapezoid along the path and
-    J by trapezoid in rho (the one implicit scalar — psi at the new path
-    point — solves a quadratic exactly), and fills inflow values from the
-    initial profile, which therefore must accept points left of the grid.
-    The returned field carries the accumulated integral and the residual
-    report of :func:`futures_residual`.
+    J the rho-antiderivative of I.  Only I (by trapezoid along the path) and
+    J (by trapezoid in rho) are marched; psi at the new path point solves a
+    quadratic exactly.  The initial profile psi0 must accept points left of
+    the grid, and every value of it used must be finite and above 1e-8, else
+    ``ValueError`` names the foot and its time.  The returned field carries
+    the accumulated integral and the residual report of :func:`futures_residual`.
     """
     if grid.t_start != 0.0:
         raise ValueError("the futures integral starts at t = 0; grid.t_start must be 0")
     times_p, values_p = _path_arrays(path)
     x_grid = np.linspace(grid.x_lo, grid.x_hi, grid.nx)
-    psi0 = np.asarray(initial_profile(x_grid), dtype=float)
-    if psi0.shape != x_grid.shape:
-        raise ValueError("initial profile must evaluate vectorised over the x grid")
-    floor = 1e-8
-    if np.min(psi0) <= floor:
-        raise ValueError("initial profile must be bounded away from zero")
+    psi0 = _profile_at(initial_profile, x_grid, 0.0)
 
     horizon = grid.t_end
     if horizon == 0.0:
@@ -550,42 +559,22 @@ def futures_march(
         k_bad = int(np.argmax((xp < x_grid[0]) | (xp > x_grid[-1])))
         raise ValueError(f"underlying path leaves the x grid at t={t_grid[k_bad]:.6g}")
 
+    sq_path = _profile_at(initial_profile, xp - np.arange(nt + 1) * drho, t_grid) ** 2
     psi = np.empty((nt + 1, grid.nx))
     psi[0] = psi0
     integral = np.zeros(nt + 1)
     j_acc = np.zeros(nt + 1)
     for n in range(nt):
-        sq_spline = CubicSpline(x_grid, psi[n] ** 2, bc_type="not-a-knot")
         dt_n = t_grid[n + 1] - t_grid[n]
-        p_n = math.sqrt(max(float(sq_spline(xp[n])), 0.0))
-        # scalar solve for psi at the new path point
-        dep_pt = xp[n + 1] - drho
-        if dep_pt >= x_grid[0]:
-            q = float(sq_spline(dep_pt))
-        else:
-            q = float(initial_profile(xp[n + 1] - (n + 1) * drho)) ** 2 + 2.0 * j_acc[n]
+        p_n = math.sqrt(sq_path[n] + 2.0 * j_acc[n])
+        # psi^2 at the new path point is q + 2 (J_{n+1} - J_n), a quadratic in psi
+        q = sq_path[n + 1] + 2.0 * j_acc[n]
         c = 0.5 * drho * dt_n
-        k_term = q + 2.0 * drho * integral[n] + c * p_n
-        y = 0.5 * (c + math.sqrt(c * c + 4.0 * max(k_term, 0.0)))
+        y = 0.5 * (c + math.sqrt(c * c + 4.0 * (q + 2.0 * drho * integral[n] + c * p_n)))
         integral[n + 1] = integral[n] + 0.5 * dt_n * (p_n + y)
         j_acc[n + 1] = j_acc[n] + 0.5 * drho * (integral[n] + integral[n + 1])
-        dj2 = 2.0 * (j_acc[n + 1] - j_acc[n])
-        # field row update along the characteristics
-        dep = x_grid - drho
-        inside = dep >= x_grid[0]
-        new_sq = np.empty_like(dep)
-        new_sq[inside] = sq_spline(dep[inside]) + dj2
-        if np.any(~inside):
-            feet = x_grid[~inside] - (n + 1) * drho
-            psi0_feet = np.asarray(initial_profile(feet), dtype=float)
-            new_sq[~inside] = psi0_feet**2 + 2.0 * j_acc[n] + dj2
-        if np.min(new_sq) <= floor**2:
-            i_bad = int(np.argmin(new_sq))
-            raise ValueError(
-                f"field reached the zero threshold at x={x_grid[i_bad]:.6g}, "
-                f"t={t_grid[n + 1]:.6g}"
-            )
-        psi[n + 1] = np.sqrt(new_sq)
+        row0 = _profile_at(initial_profile, x_grid - (n + 1) * drho, t_grid[n + 1])
+        psi[n + 1] = np.sqrt(row0**2 + 2.0 * j_acc[n + 1])
 
     field = FuturesField(x_grid=x_grid, t_grid=t_grid, psi=psi, path_values=xp,
                          integral=integral)

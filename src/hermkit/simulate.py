@@ -101,22 +101,23 @@ class StratonovichConfig:
             raise ValueError("refinement must be a positive integer")
 
 
-def _rng(seed: int, *keys: int) -> np.random.Generator:
-    """Deterministic substream for (seed, keys); keys split path indices."""
-    seq = np.random.SeedSequence([int(seed) & (2**64 - 1), *[int(k) for k in keys]])
-    return np.random.default_rng(seq)
+def _rng(seed: int) -> np.random.Generator:
+    """Generator for a nonnegative integer seed (NumPy rejects negative ones)."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed)]))
 
 
 _MAX_PATHS = 1 << 20
+_MAX_ROOT = 1 << 44
 
 
 def _substream_seed(root: int, index: int) -> int:
     """Seed of path ``index`` in a run with root seed ``root``.
 
-    Distinct (root, index) pairs give distinct seeds only for index <
-    _MAX_PATHS (index 2^20 of root 0 is index 0 of root 1), so callers
-    reject larger path counts before drawing.
+    Seeds are distinct and below 2^64 for root in [0, _MAX_ROOT), which is
+    checked, and index < _MAX_PATHS, which callers check before drawing.
     """
+    if not 0 <= root < _MAX_ROOT:
+        raise ValueError(f"root seed must lie in [0, 2^44); got {root}")
     return (int(root) << 20) ^ index
 
 
@@ -216,8 +217,8 @@ def simulate_hermite_path(
     normalizer is n^H, so the path is fBm with the exact grid law
     (method ``"exact_fbm"``) for every n.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive; got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite; got {horizon}")
     if n <= 0:
         raise ValueError(f"steps per unit time must be positive; got {n}")
     if n < 64 and spec.order > 1:

@@ -136,6 +136,10 @@ def qv_normalizer(
     ``error`` is the delta-method propagation of the second-moment standard
     error through the square root.
     """
+    if not 0 < block < math.inf:
+        raise ValueError(f"block length must be positive and finite; got {block}")
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be at least 1; got {n_blocks}")
     if mc_paths < 100:
         raise ValueError("mc_paths must be at least 100 for a usable normalizer")
     if mc_paths > _MAX_PATHS:

@@ -98,6 +98,7 @@ def test_domain_error_exits_2(tmp_path, capsys):
     pytest.param(["simulate", "--steps", "0"], "", id="simulate-zero-steps"),
     pytest.param(["simulate", "--horizon", "0"], "", id="simulate-zero-horizon"),
     pytest.param(["simulate", "--horizon", "-1.5"], "", id="simulate-negative-horizon"),
+    pytest.param(["simulate", "--horizon", "inf"], "", id="simulate-infinite-horizon"),
     pytest.param(["simulate", "--paths", str(2**20 + 1)], "", id="simulate-too-many-paths"),
     pytest.param(["simulate"], "paths = 0\n", id="simulate-config-zero-paths"),
     pytest.param(["simulate", "--steps", "0"], "steps = 64\n", id="simulate-flag-over-config"),
@@ -113,6 +114,28 @@ def test_bad_counts_and_horizon_exit_2_before_drawing(tmp_path, capsys, argv, ru
     out = tmp_path / "out"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**44])
+def test_seed_outside_substream_range_exits_2_before_drawing(tmp_path, capsys, seed):
+    # outside [0, 2^44), (root << 20) ^ i would repeat the seeds of another root
+    out = tmp_path / "out"
+    assert main(["simulate", "--hurst", "0.7", "--order", "1", "--seed", str(seed),
+                 "--out", str(out)]) == 2
+    assert f"root seed must lie in [0, 2^44); got {seed}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["--block", "0"], "block length must be positive and finite; got 0.0",
+                 id="zero-block"),
+    pytest.param(["--blocks", "0,8"], "n_blocks must be at least 1; got 0", id="zero-blocks"),
+])
+def test_qv_bad_block_exits_2_naming_it(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(["qv", "--hurst", "0.7", "--order", "1", *argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

@@ -430,7 +430,30 @@ def test_futures_march_guards():
         futures_march(_profile, path, m, PricingGrid(1.2, 3.4, 16, 16, 0.0, 1.0))
 
 
+def _assert_rows_on_characteristics(field, profile, market):
+    # every row is exactly psi(x, rho_n)^2 = profile(x - rho_n)^2 + 2 J_n, with
+    # J the trapezoid rho-antiderivative of the marched integral I
+    nt = field.t_grid.size - 1
+    drho = cumulative_rate(market.spec, market.riskless, field.t_grid[-1]) / nt
+    j_acc = np.zeros(nt + 1)
+    for n in range(nt):
+        j_acc[n + 1] = j_acc[n] + 0.5 * drho * (field.integral[n] + field.integral[n + 1])
+    for n in range(nt + 1):
+        sq = field.psi[n] ** 2
+        feet = field.x_grid - n * drho
+        assert np.all(np.abs(sq - 2.0 * j_acc[n] - profile(feet) ** 2) <= 1e-12 * sq)
+
+
+def test_futures_march_rows_follow_the_characteristics():
+    m = _futures_market()
+    field = futures_march(_profile, _futures_path(m), m,
+                          PricingGrid(0.4, 3.4, 128, 128, 0.0, 1.0))
+    _assert_rows_on_characteristics(field, _profile, m)
+
+
 def test_futures_march_zero_threshold_abort():
+    # a step profile that sits just above the zero threshold: the exact field
+    # is at least the profile everywhere, so the march goes through
     m = _futures_market()
     path = _futures_path(m, n=257)
 
@@ -438,5 +461,22 @@ def test_futures_march_zero_threshold_abort():
         x = np.asarray(x, dtype=float)
         return 2e-8 + 1.0 * (x > 2.0)
 
-    with pytest.raises(ValueError, match="zero threshold at x="):
-        futures_march(spiky, path, m, PricingGrid(0.4, 3.4, 64, 64, 0.0, 1.0))
+    field = futures_march(spiky, path, m, PricingGrid(0.4, 3.4, 64, 64, 0.0, 1.0))
+    assert np.min(field.psi) >= 2e-8
+    _assert_rows_on_characteristics(field, spiky, m)
+
+
+@pytest.mark.parametrize("inflow, shown", [
+    pytest.param(np.nan, "nan", id="nan"),
+    pytest.param(-1.0, "-1", id="negative"),
+])
+def test_futures_march_rejects_bad_profile_left_of_grid(inflow, shown):
+    # the characteristic feet of the inflow cells lie left of x_lo = 0.4
+    m = _futures_market()
+
+    def profile(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.4, inflow, _profile(x))
+
+    with pytest.raises(ValueError, match=rf"got {shown} at foot x=0\.\d+, t=0\.\d+"):
+        futures_march(profile, _futures_path(m), m, PricingGrid(0.4, 3.4, 32, 32, 0.0, 1.0))

@@ -19,7 +19,7 @@ from hermkit import (
     stratonovich_integral,
     subordinate,
 )
-from hermkit.simulate import fgn_covariance, partial_sum_std
+from hermkit.simulate import _rng, _substream_seed, fgn_covariance, partial_sum_std
 
 
 def test_fgn_covariance_formula():
@@ -115,6 +115,35 @@ def test_fbm_horizon_and_steps():
         simulate_fbm_exact(0.6, 0, 1.0, 0)
     with pytest.raises(ValueError):
         simulate_fbm_exact(0.6, 8, -1.0, 0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            simulate_hermite_path(HermiteSpec(0.6, 2), 64, horizon, 0)
+
+
+@pytest.mark.parametrize("seed, first_draws", [
+    (0, (0.1257302210933933, -0.1321048632913019)),
+    (17, (1.101262453505847, 0.3384312766461778)),
+    ((5 << 20) ^ 3, (-0.25938878876364385, 1.455394510810171)),
+    (2**64 - 1, (0.7213364570768727, -0.9707961689465133)),
+])
+def test_rng_streams_are_frozen(seed, first_draws):
+    assert tuple(_rng(seed).standard_normal(2)) == first_draws
+
+
+def test_substream_seeds_cover_distinct_64_bit_seeds():
+    assert _substream_seed(5, 3) == (5 << 20) ^ 3
+    assert _substream_seed(2**44 - 1, 2**20 - 1) == 2**64 - 1
+    # masked to 64 bits, -1 would repeat root 2^44 - 1 and 2^44 root 0
+    for root in (-1, 2**44):
+        with pytest.raises(ValueError, match=r"root seed must lie in \[0, 2\^44\)"):
+            _substream_seed(root, 0)
+
+
+def test_rng_rejects_negative_seeds_and_extra_keys():
+    with pytest.raises(ValueError):
+        _rng(-1)
+    with pytest.raises(TypeError):
+        _rng(5, 0)
 
 
 def test_partial_sum_std_matches_simulation():

@@ -1,5 +1,8 @@
 """Quadratic-variation statistics, Hurst estimation, dependence diagnostics."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,25 @@ def test_qv_normalizer_rejects_overlapping_substreams(monkeypatch):
     monkeypatch.setattr(stats, "simulate_hermite_path", no_draws)
     with pytest.raises(ValueError, match="at most"):
         qv_normalizer(HermiteSpec(0.6, 1), 8, 1.0, 2**20 + 1, seed=5)
+
+
+@pytest.mark.parametrize("n_blocks, block, message", [
+    pytest.param(8, 0.0, "block length must be positive and finite; got 0.0", id="zero-block"),
+    pytest.param(8, -1.0, "block length must be positive and finite; got -1.0",
+                 id="negative-block"),
+    pytest.param(8, math.inf, "block length must be positive and finite; got inf",
+                 id="infinite-block"),
+    pytest.param(8, math.nan, "block length must be positive and finite; got nan",
+                 id="nan-block"),
+    pytest.param(0, 1.0, "n_blocks must be at least 1; got 0", id="zero-blocks"),
+])
+def test_qv_normalizer_rejects_bad_blocks(monkeypatch, n_blocks, block, message):
+    def no_draws(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(stats, "simulate_hermite_path", no_draws)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qv_normalizer(HermiteSpec(0.6, 1), n_blocks, block, 200, seed=5)
 
 
 def test_qv_regime_exponent_values():
