@@ -36,6 +36,7 @@ from hermkit.simulate import (
     hermite_polynomial,
     simulate_fbm_exact,
     simulate_hermite_path,
+    simulate_paths,
     stratonovich_integral,
     subordinate,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "hermite_polynomial",
     "simulate_fbm_exact",
     "simulate_hermite_path",
+    "simulate_paths",
     "stratonovich_integral",
     "subordinate",
     "HurstEstimate",

@@ -63,6 +63,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -93,7 +94,7 @@ from .pricing import (
     price_characteristics,
     term_structure,
 )
-from .simulate import _MAX_PATHS, SamplePath, _substream_seed, simulate_hermite_path
+from .simulate import _MAX_PATHS, SamplePath, _path_chunks, _substream_seed
 from .stats import estimate_hurst, qv_ladder, qv_regime_exponent
 
 
@@ -363,16 +364,18 @@ def _cmd_simulate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecor
     steps = _run_setting(args, cfg, "steps", 1024)
     horizon = _run_setting(args, cfg, "horizon", 1.0)
     n_paths = _run_setting(args, cfg, "paths", 1, _MAX_PATHS)
-    at_one = []
-    names = []
-    for k in range(n_paths):
-        sp = simulate_hermite_path(spec, steps, horizon, _substream_seed(record.seed, k))
+    seeds = [_substream_seed(record.seed, k) for k in range(n_paths)]
+    method = "exact_fbm" if spec.order == 1 else "invariance_principle"
+    # row by row from the engine's chunks, so memory stays one chunk deep
+    rows = itertools.chain.from_iterable(_path_chunks(spec, steps, horizon, seeds))
+    names, at_one = [], []
+    for k, (seed, values) in enumerate(zip(seeds, rows)):
+        sp = SamplePath(np.arange(values.size) / steps, values, spec, method, seed)
         name = f"path_{k}.csv"
         with open(out_dir / name, "w", newline="") as buf:
             sp.to_csv(buf)
         names.append(name)
-        idx = int(np.argmin(np.abs(sp.times - min(1.0, horizon))))
-        at_one.append(sp.values[idx])
+        at_one.append(values[int(np.argmin(np.abs(sp.times - min(1.0, horizon))))])
     at_one = np.asarray(at_one)
     variance = float(np.var(at_one, ddof=1)) if n_paths > 1 else 0.0
     _write_json(out_dir, "summary.json", record, {

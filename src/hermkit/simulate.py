@@ -2,11 +2,15 @@
 
 One path engine, one time change, one integration tool:
 
-* :func:`simulate_hermite_path` — any order k via the invariance-principle
+* :func:`simulate_paths` — any order k via the invariance-principle
   construction: partial sums of the order-k Hermite polynomial applied to a
   Gaussian sequence with Hurst index H' = 1 + (H-1)/k, normalized by the
   exact partial-sum standard deviation so Var(X(1)) = 1; at k = 1 this is
-  exact fractional Brownian motion (:func:`simulate_fbm_exact`);
+  exact fractional Brownian motion.  One row per seed, drawn in chunks of
+  at most _CHUNK_POINTS embedded points that share one FFT call, with the
+  circulant spectrum cached per (H', length); :func:`simulate_hermite_path`
+  (and :func:`simulate_fbm_exact` at k = 1) is the one-row call as a
+  :class:`SamplePath`;
 * :func:`subordinate` — the market-time process S(t) = X(t^(1/2H)), whose
   variance is exactly t (self-similarity index 1/2, increments not
   stationary);
@@ -15,9 +19,10 @@ One path engine, one time change, one integration tool:
   (1-delta)*t_k + delta*t_{k+1} of each subinterval, and the first-order
   chain-rule defect computed with them.
 
-Paths are deterministic functions of (inputs, seed); Monte Carlo callers
-seed path i of a run from (root seed, i) with :func:`_substream_seed`, so
-batch results do not depend on scheduling order.
+Paths are deterministic functions of (inputs, seed): each row draws from a
+generator of its own seed, so it is bit-identical whichever batch or chunk
+it is drawn in.  Monte Carlo callers seed path i of a run from
+(root seed, i) with :func:`_substream_seed`.
 """
 
 from __future__ import annotations
@@ -128,6 +133,61 @@ def fgn_covariance(hurst_prime: float, lags) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
 
 
+@lru_cache(maxsize=32)
+def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray | float:
+    """Per-frequency scales of the size-2n circulant embedding, read-only.
+
+    sqrt(lam_0/2n), sqrt(lam_k/4n) for 0 < k < n and sqrt(lam_n/2n), where
+    lam is the FFT of the reflected covariance row rho_0..rho_{n-1},
+    rho_n..rho_1.  When the smallest eigenvalue is negative beyond roundoff
+    it is returned instead, as a float.
+    """
+    rho = fgn_covariance(hurst_prime, np.arange(n + 1))
+    row = np.concatenate([rho[:-1], rho[:0:-1]])
+    lam = np.fft.fft(row).real
+    if lam.min() < -1e-9 * lam.max():
+        return float(lam.min())
+    lam = np.maximum(lam[: n + 1], 0.0)
+    m = 2 * n
+    scales = np.sqrt(lam / (2.0 * m))
+    scales[0] = math.sqrt(lam[0] / m)
+    scales[n] = math.sqrt(lam[n] / m)
+    scales.flags.writeable = False
+    return scales
+
+
+def _fgn_rows(hurst_prime: float, n: int, seeds) -> np.ndarray:
+    """One row of n fGn draws per seed, each exactly :func:`gen_fgn`'s."""
+    if not (0.5 < hurst_prime < 1.0):
+        raise ValueError(f"hurst_prime must lie in (1/2, 1); got {hurst_prime}")
+    if n < 2:
+        raise ValueError(f"need n >= 2 draws; got {n}")
+    scales = _circulant_scales(hurst_prime, n)
+    if isinstance(scales, float):
+        warnings.warn(
+            f"circulant embedding produced a negative eigenvalue "
+            f"({scales:.3e}); falling back to dense Cholesky",
+            RuntimeWarning,
+        )
+        cov = fgn_covariance(hurst_prime, np.subtract.outer(np.arange(n), np.arange(n)))
+        chol = np.linalg.cholesky(cov)
+        return np.array([chol @ _rng(seed).standard_normal(n) for seed in seeds])
+    # Each row draws a (length m) then b, and the embedding reads b only
+    # below n, so b's tail is never drawn.  w is Hermitian: w_0 and w_n are
+    # real, w_k = s_k (a_k + i b_k) and w_{m-k} its conjugate for 0 < k < n.
+    m = 2 * n
+    normals = np.empty((len(seeds), m + n))
+    for row, seed in zip(normals, seeds):
+        _rng(seed).standard_normal(out=row)
+    w = np.zeros((len(seeds), m), dtype=complex)
+    re, im = w.real, w.imag
+    np.multiply(scales, normals[:, : n + 1], out=re[:, : n + 1])
+    np.multiply(scales[1:n], normals[:, m + 1 :], out=im[:, 1:n])
+    re[:, m - 1 : n : -1] = re[:, 1:n]
+    np.negative(im[:, 1:n], out=im[:, m - 1 : n : -1])
+    return np.fft.fft(w, axis=1).real[:, :n]
+
+
 def gen_fgn(hurst_prime: float, n: int, seed: int) -> GaussianSequence:
     """n draws of fractional Gaussian noise by circulant embedding.
 
@@ -137,36 +197,7 @@ def gen_fgn(hurst_prime: float, n: int, seed: int) -> GaussianSequence:
     exact sample in O(n log n).  If an eigenvalue ever comes out negative
     beyond roundoff the function warns and falls back to dense Cholesky.
     """
-    if not (0.5 < hurst_prime < 1.0):
-        raise ValueError(f"hurst_prime must lie in (1/2, 1); got {hurst_prime}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 draws; got {n}")
-    rng = _rng(seed)
-    rho = fgn_covariance(hurst_prime, np.arange(n + 1))
-    row = np.concatenate([rho[:-1], rho[:0:-1]])  # rho_0..rho_{n-1}, rho_n..rho_1
-    lam = np.fft.fft(row).real
-    m = 2 * n
-    if lam.min() < -1e-9 * lam.max():
-        warnings.warn(
-            f"circulant embedding produced a negative eigenvalue "
-            f"({lam.min():.3e}); falling back to dense Cholesky",
-            RuntimeWarning,
-        )
-        cov = fgn_covariance(hurst_prime, np.subtract.outer(np.arange(n), np.arange(n)))
-        chol = np.linalg.cholesky(cov)
-        return GaussianSequence(chol @ rng.standard_normal(n), hurst_prime, seed)
-    lam = np.maximum(lam, 0.0)
-    a = rng.standard_normal(m)
-    b = rng.standard_normal(m)
-    w = np.empty(m, dtype=complex)
-    w[0] = math.sqrt(lam[0] / m) * a[0]
-    w[n] = math.sqrt(lam[n] / m) * a[n]
-    k = np.arange(1, n)
-    scale = np.sqrt(lam[k] / (2.0 * m))
-    w[k] = scale * (a[k] + 1j * b[k])
-    w[m - k] = scale * (a[k] - 1j * b[k])
-    values = np.fft.fft(w).real[:n]
-    return GaussianSequence(values, hurst_prime, seed)
+    return GaussianSequence(_fgn_rows(hurst_prime, n, [seed])[0], hurst_prime, seed)
 
 
 def hermite_polynomial(m: int, x):
@@ -203,6 +234,49 @@ def partial_sum_std(spec: HermiteSpec, n: int) -> float:
     return math.sqrt(var)
 
 
+_CHUNK_POINTS = 1 << 15
+
+
+def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
+    """The rows of :func:`simulate_paths`, in blocks of consecutive seeds.
+
+    Each block holds at most _CHUNK_POINTS embedded points (at least one
+    row), so a caller reducing block by block never holds more.
+    """
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite; got {horizon}")
+    if n <= 0:
+        raise ValueError(f"steps per unit time must be positive; got {n}")
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
+    if n < 64 and spec.order > 1:
+        warnings.warn(
+            f"n={n} steps per unit time is small; the invariance-principle "
+            "law is asymptotic and finite-n bias will be noticeable",
+            RuntimeWarning,
+        )
+    m = math.ceil(n * horizon)
+    rows = max(1, _CHUNK_POINTS // (2 * m))
+    norm = partial_sum_std(spec, n)
+    for start in range(0, len(seeds), rows):
+        xi = _fgn_rows(spec.hurst_prime, m, seeds[start : start + rows])
+        paths = np.empty((xi.shape[0], m + 1))
+        paths[:, 0] = 0.0
+        np.cumsum(hermite_polynomial(spec.order, xi), axis=1, out=paths[:, 1:])
+        paths /= norm
+        yield paths
+
+
+def simulate_paths(spec: HermiteSpec, n: int, horizon: float, seeds) -> np.ndarray:
+    """Values of one :func:`simulate_hermite_path` per seed, as a (P, m+1) array.
+
+    Row i is bit-identical to ``simulate_hermite_path(spec, n, horizon,
+    seeds[i]).values`` on the grid k/n, k = 0..m = ceil(n*T); the circulant
+    spectrum is computed once per (H', m) and the rows share the FFTs.
+    """
+    return np.concatenate(list(_path_chunks(spec, n, horizon, seeds)))
+
+
 def simulate_hermite_path(
     spec: HermiteSpec, n: int, horizon: float, seed: int
 ) -> SamplePath:
@@ -217,21 +291,8 @@ def simulate_hermite_path(
     normalizer is n^H, so the path is fBm with the exact grid law
     (method ``"exact_fbm"``) for every n.
     """
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite; got {horizon}")
-    if n <= 0:
-        raise ValueError(f"steps per unit time must be positive; got {n}")
-    if n < 64 and spec.order > 1:
-        warnings.warn(
-            f"n={n} steps per unit time is small; the invariance-principle "
-            "law is asymptotic and finite-n bias will be noticeable",
-            RuntimeWarning,
-        )
-    m = math.ceil(n * horizon)
-    xi = gen_fgn(spec.hurst_prime, m, seed).values
-    blocks = hermite_polynomial(spec.order, xi)
-    values = np.concatenate([[0.0], np.cumsum(blocks)]) / partial_sum_std(spec, n)
-    times = np.arange(m + 1) / n
+    values = simulate_paths(spec, n, horizon, [seed])[0]
+    times = np.arange(values.size) / n
     method = "exact_fbm" if spec.order == 1 else "invariance_principle"
     return SamplePath(times, values, spec, method, seed)
 

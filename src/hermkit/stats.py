@@ -26,10 +26,11 @@ import numpy as np
 from .kernel import HermiteSpec, QuadResult
 from .simulate import (
     _MAX_PATHS,
+    _MAX_ROOT,
     SamplePath,
+    _path_chunks,
     _substream_seed,
     fgn_covariance,
-    simulate_hermite_path,
 )
 
 
@@ -72,15 +73,23 @@ class HurstEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _block_stride(path: SamplePath, block: float) -> int:
+def _block_stride(dt: float, block: float) -> int:
     """Grid stride covering one block, or raise if the block is misaligned."""
-    dt = path.times[1] - path.times[0]
     stride = block / dt
     if abs(stride - round(stride)) > 1e-9 * max(stride, 1.0) or round(stride) < 1:
         raise ValueError(
             f"block length {block} is not a multiple of the grid step {dt}"
         )
     return int(round(stride))
+
+
+def _centered_qv_rows(values: np.ndarray, stride: int, block: float, h: float):
+    """V of each path along the last axis of ``values``, and the block count."""
+    count = (values.shape[-1] - 1) // stride
+    if count < 1:
+        raise ValueError("path is shorter than one block")
+    increments = np.diff(values[..., : count * stride + 1 : stride], axis=-1)
+    return (increments**2 - block ** (2.0 * h)).sum(axis=-1), count
 
 
 def centered_qv(path: SamplePath, h_for_centering: float, block: float) -> QVReport:
@@ -90,14 +99,9 @@ def centered_qv(path: SamplePath, h_for_centering: float, block: float) -> QVRep
     unit-variance motion with index ``h_for_centering``; for a matching path
     the statistic has mean zero.
     """
-    stride = _block_stride(path, block)
-    count = (path.values.size - 1) // stride
-    if count < 1:
-        raise ValueError("path is shorter than one block")
-    samples = path.values[: count * stride + 1 : stride]
-    increments = np.diff(samples)
-    v = float((increments**2 - block ** (2.0 * h_for_centering)).sum())
-    return QVReport(v_stat=v, n_blocks=count - 1, block_length=block)
+    stride = _block_stride(path.times[1] - path.times[0], block)
+    v, count = _centered_qv_rows(path.values, stride, block, h_for_centering)
+    return QVReport(v_stat=float(v), n_blocks=count - 1, block_length=block)
 
 
 def _qv_paths(
@@ -107,8 +111,8 @@ def _qv_paths(
     mc_paths: int,
     seed: int,
     steps_per_unit: int,
-):
-    """Yield per-path QV statistics from fresh simulations.
+) -> np.ndarray:
+    """Per-path QV statistics from fresh simulations, one chunk at a time.
 
     Order 1 is exact on any grid, so it runs on the coarsest block-aligned
     one; higher orders need the finer ``steps_per_unit`` grid for the
@@ -118,9 +122,12 @@ def _qv_paths(
     n = max(1, round(1.0 / block)) if spec.order == 1 else steps_per_unit
     if abs(n * block - round(n * block)) > 1e-9:
         n = steps_per_unit
-    for i in range(mc_paths):
-        path = simulate_hermite_path(spec, n, horizon, _substream_seed(seed, i))
-        yield centered_qv(path, spec.hurst, block).v_stat
+    stride = _block_stride(1.0 / n, block)
+    seeds = [_substream_seed(seed, i) for i in range(mc_paths)]
+    return np.concatenate([
+        _centered_qv_rows(chunk, stride, block, spec.hurst)[0]
+        for chunk in _path_chunks(spec, n, horizon, seeds)
+    ])
 
 
 def qv_normalizer(
@@ -144,11 +151,7 @@ def qv_normalizer(
         raise ValueError("mc_paths must be at least 100 for a usable normalizer")
     if mc_paths > _MAX_PATHS:
         raise ValueError(f"mc_paths must be at most {_MAX_PATHS}; got {mc_paths}")
-    v = np.fromiter(
-        _qv_paths(spec, n_blocks, block, mc_paths, seed, steps_per_unit),
-        dtype=float,
-        count=mc_paths,
-    )
+    v = _qv_paths(spec, n_blocks, block, mc_paths, seed, steps_per_unit)
     second = float(np.mean(v**2))
     se_second = float(np.std(v**2, ddof=1)) / math.sqrt(mc_paths)
     delta = math.sqrt(second)
@@ -167,6 +170,9 @@ def qv_regime_exponent(spec: HermiteSpec) -> float:
     return 1.0 - 2.0 * (1.0 - spec.hurst) / spec.order
 
 
+_LADDER_STEP = 7919
+
+
 def qv_ladder(
     spec: HermiteSpec,
     n_blocks_list,
@@ -179,10 +185,18 @@ def qv_ladder(
 
     Cell j of the sorted ladder runs :func:`qv_normalizer` with its own root
     seed (``seed`` plus j times a fixed prime), so cells share no paths.
+    Every cell's root is checked before the first cell draws.
     """
+    n_list = sorted(int(n) for n in n_blocks_list)
+    offset = _LADDER_STEP * (len(n_list) - 1)
+    if not 0 <= seed < _MAX_ROOT - offset:
+        raise ValueError(
+            f"root seed must lie in [0, 2^44 - {offset}) for a {len(n_list)}-cell "
+            f"ladder, whose cell j uses seed + {_LADDER_STEP}*j; got {seed}"
+        )
     return [
-        qv_normalizer(spec, n, block, mc_paths, seed + 7919 * j, steps_per_unit)
-        for j, n in enumerate(sorted(int(n) for n in n_blocks_list))
+        qv_normalizer(spec, n, block, mc_paths, seed + _LADDER_STEP * j, steps_per_unit)
+        for j, n in enumerate(n_list)
     ]
 
 

@@ -22,6 +22,7 @@ from hermkit import (
     MarketSpec,
     Payoff,
     PricingGrid,
+    SamplePath,
     StratonovichConfig,
     bond_price,
     chain_rule_residual,
@@ -37,7 +38,7 @@ from hermkit import (
     perpetual_pde_residual,
     riskless_price,
     simulate_fbm_exact,
-    simulate_hermite_path,
+    simulate_paths,
     stratonovich_integral,
 )
 from hermkit.cli import main as cli_main
@@ -103,9 +104,9 @@ def test_criterion_02_variance_law(acceptance_report):
     for case, (order, h) in enumerate(((1, 0.7), (2, 0.7), (2, 0.8))):
         spec = HermiteSpec(h, order)
         vals = np.empty((n_paths, len(idx)))
-        for k in range(n_paths):
-            path = simulate_hermite_path(spec, steps, horizon, 100_000 * case + k)
-            vals[k] = path.values[idx]
+        for start in range(0, n_paths, 500):  # 500 paths of 4097 points at a time
+            seeds = range(100_000 * case + start, 100_000 * case + start + 500)
+            vals[start : start + 500] = simulate_paths(spec, steps, horizon, seeds)[:, idx]
         ratios = np.var(vals, axis=0, ddof=1) / np.asarray(checkpoints) ** (2 * h)
         worst = max(worst, float(np.max(np.abs(ratios - 1.0))))
         details.append(f"(k={order},H={h}) {min(ratios):.3f}..{max(ratios):.3f}")
@@ -121,9 +122,8 @@ def test_criterion_02_variance_law(acceptance_report):
 def test_criterion_03_fbm_covariance(acceptance_report):
     h, n_paths = 0.7, 10_000
     grid = np.array([0.25, 0.5, 0.75, 1.0])
-    vals = np.empty((n_paths, 4))
-    for k in range(n_paths):
-        vals[k] = simulate_fbm_exact(h, 4, 1.0, 50_000 + k).values[1:]
+    seeds = range(50_000, 50_000 + n_paths)
+    vals = simulate_paths(HermiteSpec(h, 1), 4, 1.0, seeds)[:, 1:]
     worst_z = 0.0
     for i in range(4):
         for j in range(i, 4):
@@ -156,10 +156,13 @@ def test_criterion_04_qv_regimes(acceptance_report):
         slope_msgs.append(f"(k={spec.order},H={spec.hurst}) {slope:.3f}")
     # regime (I): V/delta over 1000 replications should look Gaussian
     spec = HermiteSpec(0.6, 1)
-    v = np.array([
-        centered_qv(simulate_hermite_path(spec, 64, 1024.0, 7000 + k), 0.6, 1.0).v_stat
-        for k in range(1000)
-    ])
+    times = np.arange(64 * 1024 + 1) / 64
+    v = []
+    for start in range(7000, 8000, 50):  # 50 paths of 65537 points at a time
+        seeds = range(start, start + 50)
+        v += [centered_qv(SamplePath(times, values, spec, "exact_fbm", seed), 0.6, 1.0).v_stat
+              for seed, values in zip(seeds, simulate_paths(spec, 64, 1024.0, seeds))]
+    v = np.array(v)
     normalized = v / math.sqrt(float(np.mean(v ** 2)))
     p_value = float(normaltest(normalized).pvalue)
     elapsed = time.perf_counter() - started

@@ -127,6 +127,17 @@ def test_seed_outside_substream_range_exits_2_before_drawing(tmp_path, capsys, s
     assert list(out.iterdir()) == []
 
 
+def test_qv_ladder_seed_near_limit_exits_2_before_drawing(tmp_path, capsys):
+    # cell 3 of this ladder would draw from root 2^44 - 1 + 3 * 7919
+    out = tmp_path / "out"
+    seed = 2**44 - 1
+    assert main(["qv", "--hurst", "0.7", "--order", "2", "--blocks", "8,16,32,64",
+                 "--paths", "100", "--seed", str(seed), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"got {seed}" in err and "seed + 7919*j" in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["--block", "0"], "block length must be positive and finite; got 0.0",
                  id="zero-block"),

@@ -1,7 +1,9 @@
 """Sample-path generators and pathwise Stratonovich integration."""
 
+import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +18,21 @@ from hermkit import (
     hermite_polynomial,
     simulate_fbm_exact,
     simulate_hermite_path,
+    simulate_paths,
     stratonovich_integral,
     subordinate,
 )
-from hermkit.simulate import _rng, _substream_seed, fgn_covariance, partial_sum_std
+from hermkit import simulate
+from hermkit.simulate import (
+    _CHUNK_POINTS,
+    _circulant_scales,
+    _fgn_rows,
+    _path_chunks,
+    _rng,
+    _substream_seed,
+    fgn_covariance,
+    partial_sum_std,
+)
 
 
 def test_fgn_covariance_formula():
@@ -192,6 +205,89 @@ def test_order1_path_is_exact_fbm(hurst, n, recwarn):
     assert path.method == "exact_fbm"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert np.array_equal(simulate_fbm_exact(hurst, n, horizon, seed).values, path.values)
+
+
+@pytest.mark.parametrize("order, hurst, n, horizon, seed, digest", [
+    (1, 0.6, 1, 129.0, 11, "f8c01303546b6826e83d31bf58b52b219309c916c5055015cf3582227fc098de"),
+    (2, 0.7, 64, 129.0, 12, "24ddb4d875826f33c1570fe5c9c12e724da4866bf320c522a8087720a66f6083"),
+    (3, 0.75, 64, 4.0, 13, "e78233c1122c7f164b4aad5b35e0fe12a4acda902ad39ba01d8791a56f533e01"),
+])
+def test_hermite_paths_are_frozen(order, hurst, n, horizon, seed, digest):
+    # sha256 of the path values as drawn one path per circulant embedding
+    # (two length-2m normal vectors, two FFTs per path), before the spectrum
+    # was cached and rows were batched
+    values = simulate_hermite_path(HermiteSpec(hurst, order), n, horizon, seed).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order, hurst, n, horizon", [
+    (1, 0.6, 1, 129.0),
+    (2, 0.7, 64, 4.0),
+])
+def test_simulate_paths_rows_equal_one_row_calls(order, hurst, n, horizon):
+    # 3 full chunks and a partial one; every chunk stays within the bound
+    spec = HermiteSpec(hurst, order)
+    m = math.ceil(n * horizon)
+    rows = _CHUNK_POINTS // (2 * m)
+    seeds = [_substream_seed(21, i) for i in range(3 * rows + 1)]
+    chunks = [chunk.shape for chunk in _path_chunks(spec, n, horizon, seeds)]
+    assert chunks == [(rows, m + 1)] * 3 + [(1, m + 1)]
+    paths = simulate_paths(spec, n, horizon, seeds)
+    assert paths.shape == (len(seeds), m + 1)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(paths[i], simulate_hermite_path(spec, n, horizon, seed).values)
+
+
+def test_simulate_paths_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        simulate_paths(HermiteSpec(0.7, 2), 64, 1.0, [])
+
+
+@pytest.fixture
+def negative_embedding(monkeypatch):
+    """Poison the circulant row so its spectrum has a negative eigenvalue.
+
+    The dense covariance (a 2-D lag matrix) stays the true one, so the
+    Cholesky fallback draws the exact law.  The spectrum cache is cleared
+    on both sides so no poisoned entry outlives the test.
+    """
+    true_covariance = simulate.fgn_covariance
+
+    def poisoned(hurst_prime, lags):
+        rho = true_covariance(hurst_prime, lags)
+        if np.ndim(lags) == 1:
+            rho[-1] = -10.0
+        return rho
+
+    _circulant_scales.cache_clear()
+    monkeypatch.setattr(simulate, "fgn_covariance", poisoned)
+    yield true_covariance
+    _circulant_scales.cache_clear()
+
+
+def test_cholesky_fallback_warns_on_every_call(negative_embedding):
+    hurst_prime, n, seeds = 0.7, 8, [3, 4, 5]
+    cov = negative_embedding(hurst_prime, np.subtract.outer(np.arange(n), np.arange(n)))
+    chol = np.linalg.cholesky(cov)
+    for _ in range(2):  # the second call hits the cached marker
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = _fgn_rows(hurst_prime, n, seeds)
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+            "circulant embedding produced a negative eigenvalue "
+            f"({_circulant_scales(hurst_prime, n):.3e}); falling back to dense Cholesky"
+        ]
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, chol @ _rng(seed).standard_normal(n))
+    with pytest.warns(RuntimeWarning, match="dense Cholesky"):
+        assert np.array_equal(gen_fgn(hurst_prime, n, 4).values, rows[1])
+
+
+def test_circulant_scales_are_read_only():
+    scales = _circulant_scales(0.7, 16)
+    assert scales.shape == (17,) and np.all(scales > 0)
+    with pytest.raises(ValueError):
+        scales[0] = 0.0
 
 
 def test_hermite_path_warns_for_tiny_n():

@@ -71,7 +71,7 @@ def test_qv_normalizer_rejects_overlapping_substreams(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(stats, "simulate_hermite_path", no_draws)
+    monkeypatch.setattr(stats, "_path_chunks", no_draws)
     with pytest.raises(ValueError, match="at most"):
         qv_normalizer(HermiteSpec(0.6, 1), 8, 1.0, 2**20 + 1, seed=5)
 
@@ -90,9 +90,39 @@ def test_qv_normalizer_rejects_bad_blocks(monkeypatch, n_blocks, block, message)
     def no_draws(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(stats, "simulate_hermite_path", no_draws)
+    monkeypatch.setattr(stats, "_path_chunks", no_draws)
     with pytest.raises(ValueError, match=re.escape(message)):
         qv_normalizer(HermiteSpec(0.6, 1), n_blocks, block, 200, seed=5)
+
+
+@pytest.mark.parametrize("spec, n_blocks, mc_paths, seed, expected", [
+    # order 1 on the unit-block grid: 300 paths in chunks of 127, 127, 46
+    (HermiteSpec(0.6, 1), 128, 300, 3, (16.226575430636416, 0.6486668238835255)),
+    # order 2 at 64 steps per unit: chunks of 15 paths
+    (HermiteSpec(0.7, 2), 16, 100, 4, (20.39488771705185, 5.722218223265968)),
+])
+def test_qv_normalizer_is_frozen(spec, n_blocks, mc_paths, seed, expected):
+    # (value, error) as computed one simulate_hermite_path + centered_qv per
+    # path, before paths were drawn and reduced in chunks
+    result = qv_normalizer(spec, n_blocks, 1.0, mc_paths, seed)
+    assert (result.value, result.error) == expected
+
+
+@pytest.mark.parametrize("seed", [-1, 2**44 - 23757, 2**44 - 1])
+def test_qv_ladder_checks_every_cell_seed_before_drawing(monkeypatch, seed):
+    # cell j of a 4-cell ladder draws from root seed + 7919 j, which must
+    # stay below 2^44; the check names the caller's seed, not a cell's
+    def no_draws(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(stats, "_path_chunks", no_draws)
+    message = ("root seed must lie in [0, 2^44 - 23757) for a 4-cell ladder, "
+               f"whose cell j uses seed + 7919*j; got {seed}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stats.qv_ladder(HermiteSpec(0.7, 2), [64, 8, 32, 16], 1.0, 100, seed)
+    # the largest admissible root reaches the engine
+    with pytest.raises(AssertionError, match="a path was drawn"):
+        stats.qv_ladder(HermiteSpec(0.7, 2), [8, 16, 32, 64], 1.0, 100, 2**44 - 23758)
 
 
 def test_qv_regime_exponent_values():
