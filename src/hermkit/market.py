@@ -111,7 +111,7 @@ def cumulative_rate(spec: HermiteSpec, rate: BasicRate, t):
     Accepts scalar or array t >= 0; exactly 0 at t = 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValueError("cumulative rate requires t >= 0")
     out = d_constant(spec) * rate(t_arr) * t_arr ** (2.0 * spec.hurst)
     return float(out) if np.isscalar(t) else out
@@ -126,7 +126,7 @@ def instantaneous_rate(spec: HermiteSpec, rate: BasicRate, t):
     extension: 2H > 1 makes t^(2H-1) vanish there).
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValueError("instantaneous rate requires t >= 0")
     h2 = 2.0 * spec.hurst
     if rate.kind == "table":

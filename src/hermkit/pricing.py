@@ -24,11 +24,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-# unused here: perfbench's tracer wraps this name as pricing.spline_build
+# unused here: perfbench's tracer wraps these names as pricing.spline_build
+# and pricing.rate_inversion
 from scipy.interpolate import CubicSpline  # noqa: F401
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401
 
+from .kernel import d_constant
 from .market import (
     AssetPath,
     BasicRate,
@@ -36,7 +37,7 @@ from .market import (
     cumulative_rate,
     instantaneous_rate,
 )
-from .simulate import SamplePath
+from .simulate import _CHUNK_POINTS, SamplePath
 
 _PAYOFF_KINDS = ("power_product", "table", "callable")
 
@@ -376,7 +377,7 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
 
 def bond_price(market: MarketSpec, t: float, maturity: float) -> float:
     """Zero-coupon discount Lambda(t, T) = M(t)/M(T) = exp(-(r_cum(T) - r_cum(t)))."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("anchor time must be nonnegative")
     if maturity < t:
         raise ValueError("maturity precedes the anchor time")
@@ -397,19 +398,19 @@ def term_structure(market: MarketSpec, anchors, maturities) -> TermStructure:
     """
     a = np.asarray(anchors, dtype=float)
     m = np.asarray(maturities, dtype=float)
-    if np.any(a < 0) or np.any(m < 0):
+    if not (np.all(a >= 0) and np.all(m >= 0)):
         raise ValueError("grid times must be nonnegative")
     spec = market.spec
     rc_a = cumulative_rate(spec, market.riskless, a)
     rc_m = cumulative_rate(spec, market.riskless, m)
     discounts = np.exp(rc_a[:, None] - rc_m[None, :])
-    rates = np.array([instantaneous_rate(spec, market.riskless, t) for t in a])
+    rates = instantaneous_rate(spec, market.riskless, a)
     return TermStructure(anchors=a, maturities=m, discounts=discounts, rates=rates)
 
 
 def forward_price(market: MarketSpec, s_t: float, t: float, maturity: float) -> float:
     """Forward delivery price F(t, T) = S(t)/Lambda(t, T) (unit bond at 0)."""
-    if s_t <= 0:
+    if not s_t > 0:
         raise ValueError("spot must be positive")
     return s_t / bond_price(market, t, maturity)
 
@@ -444,8 +445,53 @@ def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError("path must be an AssetPath or SamplePath")
 
 
-def _psi_at(x_grid: np.ndarray, row: np.ndarray, x: float) -> float:
-    return float(np.interp(x, x_grid, row))
+def _interp_at_path(x_grid: np.ndarray, xp: np.ndarray, j: np.ndarray,
+                    pair: np.ndarray) -> np.ndarray:
+    """``np.interp(xp[k], x_grid, row_k)`` for every k, from the two bracketing
+    values ``pair = (row_k[j_k], row_k[j_k + 1])``, with np.interp's arithmetic
+    and its clamping outside the grid."""
+    f0, f1 = pair
+    slope = (f1 - f0) / (x_grid[j + 1] - x_grid[j])
+    inside = slope * (xp - x_grid[j]) + f0
+    return np.where(xp >= x_grid[-1], f1, np.where(xp <= x_grid[0], f0, inside))
+
+
+def _gradient_at(f: np.ndarray, coords: np.ndarray, axis: int, rows, cols) -> np.ndarray:
+    """``np.gradient(f, coords, axis=axis, edge_order=2)`` (edge order 1 on
+    two points) read only at the entries ``f[rows, cols]``.
+
+    Each entry takes numpy's formula for its position, with the same
+    arithmetic: the uniform-spacing forms when every spacing is equal, the
+    coordinate-array forms otherwise."""
+    n = coords.size
+    pos = np.broadcast_to(rows if axis == 0 else cols, np.broadcast(rows, cols).shape)
+
+    def at(q):
+        return f[q, cols] if axis == 0 else f[rows, q]
+
+    d = np.diff(coords)
+    s = np.clip(pos - 1, 0, max(n - 3, 0))
+    if n == 2:
+        return (at(s + 1) - at(s)) / d[0]
+    g0, g1, g2 = at(s), at(s + 1), at(s + 2)
+    left, right = pos == 0, pos == n - 1
+
+    def weighted(first, inner, last):
+        a, b, c = (np.select([left, right], [w0, w2], w1)
+                   for w0, w1, w2 in zip(first, inner, last))
+        return a * g0 + b * g1 + c * g2
+
+    if np.all(d == d[0]):
+        h = d[0]
+        edges = weighted((-1.5 / h, 2.0 / h, -0.5 / h), (0.0, 0.0, 0.0),
+                         (0.5 / h, -2.0 / h, 1.5 / h))
+        return np.where(left | right, edges, (g2 - g0) / (2.0 * h))
+    d1, d2 = d[s], d[s + 1]
+    return weighted(
+        (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2))),
+        (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))),
+        (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2), (2.0 * d2 + d1) / (d2 * (d1 + d2))),
+    )
 
 
 def futures_residual(field: FuturesField, market: MarketSpec) -> np.ndarray:
@@ -457,55 +503,66 @@ def futures_residual(field: FuturesField, market: MarketSpec) -> np.ndarray:
     evaluated as psi * dpsi/drho with rho the cumulative riskless rate —
     the chain rule makes (1/r) dpsi/dt and dpsi/drho the same function,
     and the rho form stays finite at t = 0 where r vanishes.
+
+    The partials are ``np.gradient``'s (second order inside and at the
+    edges, first order on a two-point axis) and every value at x(t_k) is
+    ``np.interp``'s, but both are taken only at the two grid columns that
+    bracket x(t_k): no full partial-derivative field is built.
     """
     t = field.t_grid
     if t.size < 2:
         return np.zeros(t.size)
-    psi_path = np.array(
-        [_psi_at(field.x_grid, field.psi[k], field.path_values[k])
-         for k in range(t.size)]
-    )
-    integral = cumulative_trapezoid(psi_path, t, initial=0.0)
+    x_grid, xp = field.x_grid, field.path_values
+    j = np.clip(np.searchsorted(x_grid, xp, side="right") - 1, 0, x_grid.size - 2)
+    rows, cols = np.arange(t.size), np.stack((j, j + 1))
     rho = cumulative_rate(market.spec, market.riskless, t)
-    order_x = 2 if field.x_grid.size >= 3 else 1
-    order_t = 2 if t.size >= 3 else 1
-    psi_x = np.gradient(field.psi, field.x_grid, axis=1, edge_order=order_x)
-    psi_rho = np.gradient(field.psi, rho, axis=0, edge_order=order_t)
-    px = np.array(
-        [_psi_at(field.x_grid, psi_x[k], field.path_values[k]) for k in range(t.size)]
-    )
-    prho = np.array(
-        [_psi_at(field.x_grid, psi_rho[k], field.path_values[k]) for k in range(t.size)]
-    )
+    psi_path = _interp_at_path(x_grid, xp, j, field.psi[rows, cols])
+    px = _interp_at_path(x_grid, xp, j, _gradient_at(field.psi, x_grid, 1, rows, cols))
+    prho = _interp_at_path(x_grid, xp, j, _gradient_at(field.psi, rho, 0, rows, cols))
+    integral = np.concatenate(
+        ([0.0], np.cumsum(np.diff(t) * (psi_path[1:] + psi_path[:-1]) / 2.0)))
     return integral - psi_path * px - psi_path * prho
 
 
-def _invert_cumulative(market: MarketSpec, rho: float, horizon: float) -> float:
-    """The time t in [0, horizon] with cumulative riskless rate rho."""
+def _invert_cumulative(market: MarketSpec, rho: np.ndarray, horizon: float) -> np.ndarray:
+    """The times t in [0, horizon] with cumulative riskless rate ``rho``, one
+    per target, for a cumulative rate that increases on [0, horizon].
+
+    Constant rates invert in closed form.  Other kinds bisect every target
+    at once, one ``cumulative_rate`` call per halving, until each bracket
+    is narrower than 1e-14 + 8.9e-16 t (brentq's default tolerances) or its
+    ends are adjacent floats.
+    """
     spec = market.spec
     r = market.riskless
-    if rho <= 0.0:
-        return 0.0
     if r.kind == "constant":
-        from .kernel import d_constant
-
-        return (rho / (d_constant(spec) * r.parameters[0])) ** (1.0 / (2.0 * spec.hurst))
-    return float(brentq(lambda t: cumulative_rate(spec, r, t) - rho, 0.0, horizon,
-                        xtol=1e-14, rtol=8.9e-16))
+        scale = d_constant(spec) * r.parameters[0]
+        return (np.maximum(rho, 0.0) / scale) ** (1.0 / (2.0 * spec.hurst))
+    lo, hi = np.zeros_like(rho), np.full_like(rho, horizon)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((hi - lo < 1e-14 + 8.9e-16 * mid) | (mid == lo) | (mid == hi)):
+            return mid
+        below = cumulative_rate(spec, r, mid) < rho
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
 
 
 def _profile_at(profile: Callable, feet: np.ndarray, t) -> np.ndarray:
-    """Initial-profile values at characteristic feet reached at times ``t``,
-    each checked finite and above the zero threshold 1e-8."""
-    vals = np.asarray(profile(feet), dtype=float)
-    if vals.shape != feet.shape:
+    """Initial-profile values at characteristic feet reached at times ``t``
+    (broadcastable to ``feet``), each checked finite and above the zero
+    threshold 1e-8.  The profile sees the feet as one 1-D array in row-major
+    order, and the first bad value in that order is the one reported."""
+    flat = feet.ravel()
+    vals = np.asarray(profile(flat), dtype=float)
+    if vals.shape != flat.shape:
         raise ValueError("initial profile must evaluate vectorised over the x grid")
     bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 1e-8)))
     if bad.size:
-        i, t_i = bad[0], np.broadcast_to(t, feet.shape)[bad[0]]
+        i, t_i = bad[0], np.broadcast_to(t, feet.shape).flat[bad[0]]
         raise ValueError("initial profile must be finite and bounded away from zero; "
-                         f"got {vals[i]:.6g} at foot x={feet[i]:.6g}, t={t_i:.6g}")
-    return vals
+                         f"got {vals[i]:.6g} at foot x={flat[i]:.6g}, t={t_i:.6g}")
+    return vals.reshape(feet.shape)
 
 
 def futures_march(
@@ -524,11 +581,19 @@ def futures_march(
         psi(x, rho)^2 = psi0(x - rho)^2 + 2 J(rho),
 
     J the rho-antiderivative of I.  Only I (by trapezoid along the path) and
-    J (by trapezoid in rho) are marched; psi at the new path point solves a
-    quadratic exactly.  The initial profile psi0 must accept points left of
-    the grid, and every value of it used must be finite and above 1e-8, else
-    ``ValueError`` names the foot and its time.  The returned field carries
-    the accumulated integral and the residual report of :func:`futures_residual`.
+    J (by trapezoid in rho) are marched, a scalar recurrence; psi at the new
+    path point solves a quadratic exactly.  The times of the uniform rho
+    steps are found all at once (:func:`_invert_cumulative`), so the
+    cumulative riskless rate must increase on [0, horizon]: it is checked at
+    the path's time nodes, and ``ValueError`` names the first node after
+    which it does not.  The rows are then filled in blocks of at most
+    2^15 grid points, one profile call per block.
+
+    The initial profile psi0 must accept points left of the grid, and every
+    value of it used must be finite and above 1e-8, else ``ValueError``
+    names the first such foot (the path's feet first, then the rows in
+    order) and its time.  The returned field carries the accumulated
+    integral and the residual report of :func:`futures_residual`.
     """
     if grid.t_start != 0.0:
         raise ValueError("the futures integral starts at t = 0; grid.t_start must be 0")
@@ -546,22 +611,22 @@ def futures_march(
         raise ValueError("path does not cover the marching horizon")
 
     spec = market.spec
+    nodes = np.concatenate(([0.0], times_p[(times_p > 0.0) & (times_p < horizon)], [horizon]))
+    stalls = np.flatnonzero(np.diff(cumulative_rate(spec, market.riskless, nodes)) <= 0.0)
+    if stalls.size:
+        raise ValueError("the cumulative riskless rate must increase on the marching "
+                         f"horizon; it stops increasing after t={nodes[stalls[0]]:.6g}")
     nt = grid.nt
     rho_total = cumulative_rate(spec, market.riskless, horizon)
     drho = rho_total / nt
-    t_grid = np.array(
-        [0.0]
-        + [_invert_cumulative(market, k * drho, horizon) for k in range(1, nt)]
-        + [horizon]
-    )
+    t_grid = np.concatenate(
+        ([0.0], _invert_cumulative(market, np.arange(1, nt) * drho, horizon), [horizon]))
     xp = np.interp(t_grid, times_p, values_p)
     if np.any(xp < x_grid[0]) or np.any(xp > x_grid[-1]):
         k_bad = int(np.argmax((xp < x_grid[0]) | (xp > x_grid[-1])))
         raise ValueError(f"underlying path leaves the x grid at t={t_grid[k_bad]:.6g}")
 
     sq_path = _profile_at(initial_profile, xp - np.arange(nt + 1) * drho, t_grid) ** 2
-    psi = np.empty((nt + 1, grid.nx))
-    psi[0] = psi0
     integral = np.zeros(nt + 1)
     j_acc = np.zeros(nt + 1)
     for n in range(nt):
@@ -573,8 +638,18 @@ def futures_march(
         y = 0.5 * (c + math.sqrt(c * c + 4.0 * (q + 2.0 * drho * integral[n] + c * p_n)))
         integral[n + 1] = integral[n] + 0.5 * dt_n * (p_n + y)
         j_acc[n + 1] = j_acc[n] + 0.5 * drho * (integral[n] + integral[n + 1])
-        row0 = _profile_at(initial_profile, x_grid - (n + 1) * drho, t_grid[n + 1])
-        psi[n + 1] = np.sqrt(row0**2 + 2.0 * j_acc[n + 1])
+
+    psi = np.empty((nt + 1, grid.nx))
+    psi[0] = psi0
+    block = max(1, _CHUNK_POINTS // grid.nx)
+    for a in range(1, nt + 1, block):
+        b = min(a + block, nt + 1)
+        steps = np.arange(a, b)[:, None]
+        rows = psi[a:b]
+        np.square(_profile_at(initial_profile, x_grid - steps * drho, t_grid[a:b, None]),
+                  out=rows)
+        rows += 2.0 * j_acc[a:b, None]
+        np.sqrt(rows, out=rows)
 
     field = FuturesField(x_grid=x_grid, t_grid=t_grid, psi=psi, path_values=xp,
                          integral=integral)

@@ -480,3 +480,138 @@ def test_futures_march_rejects_bad_profile_left_of_grid(inflow, shown):
 
     with pytest.raises(ValueError, match=rf"got {shown} at foot x=0\.\d+, t=0\.\d+"):
         futures_march(profile, _futures_path(m), m, PricingGrid(0.4, 3.4, 32, 32, 0.0, 1.0))
+
+
+def _rate_market(rate, spec):
+    return MarketSpec(spec=spec, riskless=rate, drifts=(BasicRate.constant(0.05),),
+                      volatility=np.array([[0.2]]), initial_prices=(1.0,))
+
+
+_RATES = {
+    "constant": BasicRate.constant(0.05),
+    "polynomial": BasicRate.polynomial((0.05, 0.01, -0.002), horizon=2.0),
+    "table": BasicRate.table((0.0, 0.5, 1.0, 2.0), (0.05, 0.06, 0.055, 0.065)),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("kind", ["polynomial", "table"])
+def test_futures_time_grid_matches_scalar_root_finds(kind, hurst, order):
+    # the batched bisection against one brentq per step, as the march did before
+    from scipy.optimize import brentq
+
+    spec = HermiteSpec(hurst, order)
+    m = _rate_market(_RATES[kind], spec)
+    nt = 64
+    field = futures_march(_profile, _futures_path(m, n=257), m,
+                          PricingGrid(0.4, 3.4, 16, nt, 0.0, 1.0))
+    drho = cumulative_rate(spec, m.riskless, 1.0) / nt
+    ref = [brentq(lambda t: cumulative_rate(spec, m.riskless, t) - n * drho, 0.0, 1.0,
+                  xtol=1e-14, rtol=8.9e-16) for n in range(1, nt)]
+    assert field.t_grid[0] == 0.0 and field.t_grid[-1] == 1.0
+    assert np.max(np.abs(field.t_grid[1:-1] - ref)) <= 1e-13
+
+
+def test_futures_time_grid_of_a_constant_rate_is_the_closed_form():
+    from hermkit.kernel import d_constant
+
+    m = _futures_market()
+    nt = 32
+    field = futures_march(_profile, _futures_path(m, n=257), m,
+                          PricingGrid(0.4, 3.4, 16, nt, 0.0, 1.0))
+    drho = cumulative_rate(SPEC, m.riskless, 1.0) / nt
+    scale = d_constant(SPEC) * 0.15
+    closed = [(n * drho / scale) ** (1.0 / (2.0 * SPEC.hurst)) for n in range(1, nt)]
+    assert np.allclose(field.t_grid[1:-1], closed, rtol=1e-15, atol=0.0)
+
+
+def test_futures_march_rejects_a_falling_cumulative_rate():
+    # r(t) = 0.1 - 0.09 t stays in [0.01, 0.1], but D r(t) t^1.2 peaks at
+    # t = 0.12 / 0.198 = 0.606 and falls after it
+    rate = BasicRate.polynomial((0.1, -0.09), horizon=1.0)
+    m = _rate_market(rate, HermiteSpec(0.6, 1))
+    times = np.linspace(0.0, 1.0, 2049)
+    path = AssetPath(times=times, prices=np.exp(0.05 * times))
+    with pytest.raises(ValueError, match=r"stops increasing after t=0\.60"):
+        futures_march(_profile, path, m, PricingGrid(0.4, 3.4, 64, 64, 0.0, 1.0))
+    # the same rate is fine on a horizon where it still increases
+    field = futures_march(_profile, path, m, PricingGrid(0.4, 3.4, 64, 64, 0.0, 0.5))
+    assert np.all(np.diff(field.t_grid) > 0)
+
+
+def _residual_oracle(field, market):
+    # the per-row np.interp of full np.gradient fields that futures_residual
+    # read from before it gathered the stencils at the path
+    from scipy.integrate import cumulative_trapezoid
+
+    t, x, xp = field.t_grid, field.x_grid, field.path_values
+    if t.size < 2:
+        return np.zeros(t.size)
+    psi_path = np.array([np.interp(xp[k], x, field.psi[k]) for k in range(t.size)])
+    integral = cumulative_trapezoid(psi_path, t, initial=0.0)
+    rho = cumulative_rate(market.spec, market.riskless, t)
+    psi_x = np.gradient(field.psi, x, axis=1, edge_order=2 if x.size >= 3 else 1)
+    psi_rho = np.gradient(field.psi, rho, axis=0, edge_order=2 if t.size >= 3 else 1)
+    px = np.array([np.interp(xp[k], x, psi_x[k]) for k in range(t.size)])
+    prho = np.array([np.interp(xp[k], x, psi_rho[k]) for k in range(t.size)])
+    return integral - psi_path * px - psi_path * prho
+
+
+@pytest.mark.parametrize("nt, nx, uniform", [
+    (2, 11, False), (3, 11, False), (9, 2, True), (9, 3, False),
+    (9, 9, True), (40, 17, False), (2, 2, True),
+])
+def test_futures_residual_matches_full_gradient_fields(nt, nx, uniform):
+    rng = np.random.default_rng(1000 * nt + nx)
+    m = _futures_market()
+    x = np.linspace(0.5, 2.5, nx)  # 0.25-spaced at nx = 9: equal spacings
+    if not uniform:
+        x = np.sort(np.concatenate(([0.5, 2.5], rng.uniform(0.5, 2.5, nx - 2))))
+    t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, nt - 2)), [1.0]))
+    # path values inside the grid, on grid nodes and at both ends
+    path_vals = rng.uniform(x[0], x[-1], nt)
+    path_vals[: min(nt, 3)] = [x[0], x[-1], x[nx // 2]][: min(nt, 3)]
+    field = FuturesField(x_grid=x, t_grid=t, psi=rng.uniform(0.5, 1.5, (nt, nx)),
+                         path_values=path_vals)
+    got = futures_residual(field, m)
+    assert np.max(np.abs(got - _residual_oracle(field, m))) <= 1e-13
+
+
+def test_futures_march_fills_rows_in_blocks():
+    # 512 x 130 points span three row blocks of at most 2^15 points; every
+    # row stays on its characteristic, and a bad foot in a later block is
+    # reported at the same place as a row-by-row scan finds it
+    m = _futures_market()
+    path = _futures_path(m)
+    grid = PricingGrid(0.4, 3.4, 512, 130, 0.0, 1.0)
+    field = futures_march(_profile, path, m, grid)
+    _assert_rows_on_characteristics(field, _profile, m)
+    assert np.max(np.abs(field.residual - _residual_oracle(field, m))) <= 1e-13
+
+    drho = cumulative_rate(SPEC, m.riskless, 1.0) / grid.nt
+    cut = 0.4 - 0.6 * grid.nt * drho
+    n = next(n for n in range(1, grid.nt + 1) if field.x_grid[0] - n * drho < cut)
+    assert n > 64  # beyond the first block
+
+    def profile(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < cut, -1.0, _profile(x))
+
+    shown = rf"foot x={field.x_grid[0] - n * drho:.6g}, t={field.t_grid[n]:.6g}"
+    with pytest.raises(ValueError, match=shown.replace(".", r"\.")):
+        futures_march(profile, path, m, grid)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m: cumulative_rate(SPEC, m.riskless, np.array([0.5, np.nan])),
+                 id="cumulative_rate"),
+    pytest.param(lambda m: instantaneous_rate(SPEC, m.riskless, np.nan),
+                 id="instantaneous_rate"),
+    pytest.param(lambda m: bond_price(m, np.nan, 1.0), id="bond_price"),
+    pytest.param(lambda m: forward_price(m, 1.0, 0.0, np.nan), id="forward_price"),
+    pytest.param(lambda m: term_structure(m, [0.0, np.nan], [1.0]), id="term_structure"),
+])
+def test_nan_times_are_rejected(call):
+    with pytest.raises(ValueError, match="nonnegative|t >= 0"):
+        call(_market())
