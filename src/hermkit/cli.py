@@ -70,7 +70,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -94,7 +94,7 @@ from .pricing import (
     price_characteristics,
     term_structure,
 )
-from .simulate import _MAX_PATHS, SamplePath, _path_chunks, _substream_seed
+from .simulate import SamplePath, _path_chunks, _run_seeds
 from .stats import estimate_hurst, qv_ladder, qv_regime_exponent
 
 
@@ -113,7 +113,6 @@ class RunConfig:
     market: MarketSpec | None
     run: dict
     output: dict
-    source: str
     text: str
 
 
@@ -122,7 +121,6 @@ class OutputRecord:
     command: str
     digest: str
     seed: int
-    tables: dict[str, Table] = field(default_factory=dict)
     wall_time: float = 0.0
 
 
@@ -256,8 +254,7 @@ def load_config(path: str | Path) -> RunConfig:
         if "horizon" in sec:
             run["horizon"] = float(sec["horizon"])
     output = dict(parser["output"]) if parser.has_section("output") else {}
-    return RunConfig(spec=spec, market=market, run=run, output=output,
-                     source=str(path), text=text)
+    return RunConfig(spec=spec, market=market, run=run, output=output, text=text)
 
 
 def config_digest(command: str, params: Mapping, config_text: str) -> str:
@@ -320,17 +317,17 @@ def _write_json(directory: Path, name: str, record: OutputRecord, payload: dict)
     return target
 
 
-def _run_setting(args, cfg: RunConfig | None, key: str, default, limit=math.inf):
+def _run_setting(args, cfg: RunConfig | None, key: str, default):
     """``--key``, else the config's [run] ``key``, else ``default``, which
-    must be finite and lie in (0, limit]; checked before anything is drawn
-    or written."""
+    must be positive and finite; checked before anything is drawn or
+    written."""
     value = getattr(args, key)
     if value is None and cfg is not None:
         value = cfg.run.get(key)
     value = default if value is None else value
-    if not (0 < value <= limit and math.isfinite(value)):
-        raise CliError(f"--{key} (or [run] {key}) must be finite and lie in "
-                       f"(0, {limit}]; got {value}")
+    if not 0 < value < math.inf:
+        raise CliError(f"--{key} (or [run] {key}) must be positive and finite; "
+                       f"got {value}")
     return value
 
 
@@ -363,8 +360,8 @@ def _cmd_simulate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecor
     spec = _spec_from(args, cfg)
     steps = _run_setting(args, cfg, "steps", 1024)
     horizon = _run_setting(args, cfg, "horizon", 1.0)
-    n_paths = _run_setting(args, cfg, "paths", 1, _MAX_PATHS)
-    seeds = [_substream_seed(record.seed, k) for k in range(n_paths)]
+    n_paths = _run_setting(args, cfg, "paths", 1)
+    seeds = _run_seeds(record.seed, n_paths)
     method = "exact_fbm" if spec.order == 1 else "invariance_principle"
     # row by row from the engine's chunks, so memory stays one chunk deep
     rows = itertools.chain.from_iterable(_path_chunks(spec, steps, horizon, seeds))
@@ -450,7 +447,7 @@ def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecor
 def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
     spec = _spec_from(args, cfg)
     blocks = sorted(_ints(args.blocks, "--blocks"))
-    mc_paths = _run_setting(args, cfg, "paths", 200, _MAX_PATHS)
+    mc_paths = _run_setting(args, cfg, "paths", 200)
     ladder = qv_ladder(spec, blocks, float(args.block), mc_paths, record.seed)
     deltas = [delta.value for delta in ladder]
     log_n = np.log(blocks)
@@ -471,7 +468,7 @@ def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
         "intercept": intercept,
         "regime_exponent": qv_regime_exponent(spec),
     })
-    return replace(record, tables=tables)
+    return record
 
 
 def _cmd_price_bond(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
@@ -562,7 +559,7 @@ def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> Output
         "profile": {"base": base, "step": step, "center": center, "width": width},
         "residual_sup": float(np.abs(out.residual).max()),
     })
-    return replace(record, tables=tables)
+    return record
 
 
 def _cmd_curve(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
@@ -581,7 +578,7 @@ def _cmd_curve(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
         "discounts": [float(d) for d in ts.discounts[0]],
         "rates": rates,
     })
-    return replace(record, tables=tables)
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class BasicRate:
     def table(cls, times: Sequence[float], values: Sequence[float]) -> "BasicRate":
         vals = tuple(float(v) for v in values)
         return cls(kind="table", parameters=(tuple(float(t) for t in times), vals),
-                   bounds=(min(vals), max(vals)))
+                   bounds=(float(np.min(vals)), float(np.max(vals))))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -167,9 +167,9 @@ class AssetPath:
         prices = np.asarray(self.prices, dtype=float)
         if times.ndim != 1 or times.size != prices.size or times.size < 1:
             raise ValueError("times/prices must be equal-length 1-D arrays")
-        if times.size > 1 and np.any(np.diff(times) <= 0):
+        if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(prices <= 0):
+        if not np.all(prices > 0):
             raise ValueError("prices must be strictly positive")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "prices", prices)
@@ -209,7 +209,7 @@ class MarketSpec:
             raise ValueError("riskless basic rate must be bounded away from zero "
                              f"(lower bound {self.riskless.bounds[0]})")
         prices = tuple(float(p) for p in self.initial_prices)
-        if len(prices) != d or any(p <= 0 for p in prices):
+        if len(prices) != d or not all(p > 0 for p in prices):
             raise ValueError(f"initial_prices must be {d} positive reals")
         dividends = self.dividends
         if dividends is None:

@@ -249,20 +249,15 @@ def price_characteristics(
     if horizon < t:
         raise ValueError("horizon must not precede the valuation time")
     x_vec = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_vec <= 0):
+    if not np.all(x_vec > 0):
         raise ValueError("price coordinates must be strictly positive")
     if x_vec.size != market.d:
         raise ValueError(f"price vector has {x_vec.size} coordinates; need {market.d}")
-    spec = market.spec
-    dr = cumulative_rate(spec, market.riskless, horizon) - cumulative_rate(
-        spec, market.riskless, t
-    )
-    growth = np.empty_like(x_vec)
-    for j in range(market.d):
-        dd = cumulative_rate(spec, market.dividends[j], horizon) - cumulative_rate(
-            spec, market.dividends[j], t
-        )
-        growth[j] = math.exp(dr - dd)
+    # each rate's cumulative-rate rise from t to the horizon, one call per rate
+    ends = np.array([t, horizon], dtype=float)
+    dr, *dd = (np.diff(cumulative_rate(market.spec, q, ends))[0]
+               for q in (market.riskless, *market.dividends))
+    growth = np.array([math.exp(dr - d) for d in dd])
     args = x_vec * growth if market.d > 1 else float(x_vec[0] * growth[0])
     return math.exp(-dr) * float(payoff(args))
 
@@ -345,6 +340,8 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if a.size != market.d:
         raise ValueError(f"alpha has {a.size} entries; need {market.d}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"alpha must be finite; got {a.tolist()}")
     if market.riskless.bounds[0] <= 0.0:
         raise ValueError("degenerate riskless rate: cumulative rate vanishes")
     spec = market.spec

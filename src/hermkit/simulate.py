@@ -8,8 +8,10 @@ One path engine, one time change, one integration tool:
   exact partial-sum standard deviation so Var(X(1)) = 1; at k = 1 this is
   exact fractional Brownian motion.  One row per seed, drawn in chunks of
   at most _CHUNK_POINTS embedded points that share one FFT call, with the
-  circulant spectrum cached per (H', length); :func:`simulate_hermite_path`
-  (and :func:`simulate_fbm_exact` at k = 1) is the one-row call as a
+  circulant spectrum cached per (H', length); circulant embedding is the
+  only fGn route, and a spectrum negative beyond roundoff raises
+  FloatingPointError.  :func:`simulate_hermite_path` (and
+  :func:`simulate_fbm_exact` at k = 1) is the one-row call as a
   :class:`SamplePath`;
 * :func:`subordinate` — the market-time process S(t) = X(t^(1/2H)), whose
   variance is exactly t (self-similarity index 1/2, increments not
@@ -21,8 +23,8 @@ One path engine, one time change, one integration tool:
 
 Paths are deterministic functions of (inputs, seed): each row draws from a
 generator of its own seed, so it is bit-identical whichever batch or chunk
-it is drawn in.  Monte Carlo callers seed path i of a run from
-(root seed, i) with :func:`_substream_seed`.
+it is drawn in.  Monte Carlo callers seed the paths of a run from its root
+seed with :func:`_run_seeds`, the one home of that rule and its limits.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class SamplePath:
             raise ValueError("times/values must be equal-length 1-D arrays, length >= 2")
         if times[0] != 0.0 or values[0] != 0.0:
             raise ValueError("paths start at t=0 with value 0")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}; got {self.method!r}")
@@ -115,15 +117,19 @@ _MAX_PATHS = 1 << 20
 _MAX_ROOT = 1 << 44
 
 
-def _substream_seed(root: int, index: int) -> int:
-    """Seed of path ``index`` in a run with root seed ``root``.
+def _run_seeds(root: int, count: int) -> range:
+    """Seeds (root << 20) ^ i of the paths i < count of a run.
 
-    Seeds are distinct and below 2^64 for root in [0, _MAX_ROOT), which is
-    checked, and index < _MAX_PATHS, which callers check before drawing.
+    Distinct over all (root, i) and below 2^64 for root in [0, 2^44) and
+    1 <= count <= 2^20, both checked here; the xor fills only the low 20
+    bits, so it is the sum (root << 20) + i.
     """
     if not 0 <= root < _MAX_ROOT:
         raise ValueError(f"root seed must lie in [0, 2^44); got {root}")
-    return (int(root) << 20) ^ index
+    if not 1 <= count <= _MAX_PATHS:
+        raise ValueError(f"need at least 1 and at most {_MAX_PATHS} paths; got {count}")
+    first = int(root) << 20
+    return range(first, first + count)
 
 
 def fgn_covariance(hurst_prime: float, lags) -> np.ndarray:
@@ -134,19 +140,26 @@ def fgn_covariance(hurst_prime: float, lags) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray | float:
+def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray:
     """Per-frequency scales of the size-2n circulant embedding, read-only.
 
     sqrt(lam_0/2n), sqrt(lam_k/4n) for 0 < k < n and sqrt(lam_n/2n), where
     lam is the FFT of the reflected covariance row rho_0..rho_{n-1},
-    rho_n..rho_1.  When the smallest eigenvalue is negative beyond roundoff
-    it is returned instead, as a float.
+    rho_n..rho_1.  The minimal embedding of fGn is nonnegative definite
+    (Dietrich & Newsam 1997; Craigmile 2003): eigenvalues down to
+    -1e-9 * lam_max are roundoff and clipped to 0, lower ones raise
+    FloatingPointError.
     """
     rho = fgn_covariance(hurst_prime, np.arange(n + 1))
     row = np.concatenate([rho[:-1], rho[:0:-1]])
     lam = np.fft.fft(row).real
-    if lam.min() < -1e-9 * lam.max():
-        return float(lam.min())
+    tol = 1e-9 * lam.max()
+    if lam.min() < -tol:
+        raise FloatingPointError(
+            f"circulant embedding of fGn at H'={hurst_prime!r}, n={n} has "
+            f"eigenvalue lambda_min={lam.min():.3e} below the roundoff "
+            f"tolerance -{tol:.3e} (1e-9 * lambda_max)"
+        )
     lam = np.maximum(lam[: n + 1], 0.0)
     m = 2 * n
     scales = np.sqrt(lam / (2.0 * m))
@@ -163,15 +176,6 @@ def _fgn_rows(hurst_prime: float, n: int, seeds) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need n >= 2 draws; got {n}")
     scales = _circulant_scales(hurst_prime, n)
-    if isinstance(scales, float):
-        warnings.warn(
-            f"circulant embedding produced a negative eigenvalue "
-            f"({scales:.3e}); falling back to dense Cholesky",
-            RuntimeWarning,
-        )
-        cov = fgn_covariance(hurst_prime, np.subtract.outer(np.arange(n), np.arange(n)))
-        chol = np.linalg.cholesky(cov)
-        return np.array([chol @ _rng(seed).standard_normal(n) for seed in seeds])
     # Each row draws a (length m) then b, and the embedding reads b only
     # below n, so b's tail is never drawn.  w is Hermitian: w_0 and w_n are
     # real, w_k = s_k (a_k + i b_k) and w_{m-k} its conjugate for 0 < k < n.
@@ -194,8 +198,9 @@ def gen_fgn(hurst_prime: float, n: int, seed: int) -> GaussianSequence:
     The covariance sequence rho(0..n) is reflected into a circulant of size
     2n whose eigenvalues (an FFT of the first row) are nonnegative for all
     H' in (1/2, 1); two independent standard-normal vectors then produce an
-    exact sample in O(n log n).  If an eigenvalue ever comes out negative
-    beyond roundoff the function warns and falls back to dense Cholesky.
+    exact sample in O(n log n).  This is the only fGn route: an eigenvalue
+    negative beyond roundoff raises FloatingPointError before any normal is
+    drawn.
     """
     return GaussianSequence(_fgn_rows(hurst_prime, n, [seed])[0], hurst_prime, seed)
 
@@ -318,8 +323,10 @@ def subordinate(
     its own grid is used as the fine grid.  Var S(t) = t exactly in law,
     but increments are not stationary.
     """
-    if horizon <= 0 or n <= 0:
-        raise ValueError("n and horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite; got {horizon}")
+    if n <= 0:
+        raise ValueError(f"steps per unit time must be positive; got {n}")
     if isinstance(source, SamplePath):
         driver, spec = source, source.spec
     else:

@@ -24,14 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import HermiteSpec, QuadResult
-from .simulate import (
-    _MAX_PATHS,
-    _MAX_ROOT,
-    SamplePath,
-    _path_chunks,
-    _substream_seed,
-    fgn_covariance,
-)
+from .simulate import _MAX_ROOT, SamplePath, _path_chunks, _run_seeds, fgn_covariance
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,7 @@ def _qv_paths(
     if abs(n * block - round(n * block)) > 1e-9:
         n = steps_per_unit
     stride = _block_stride(1.0 / n, block)
-    seeds = [_substream_seed(seed, i) for i in range(mc_paths)]
+    seeds = _run_seeds(seed, mc_paths)
     return np.concatenate([
         _centered_qv_rows(chunk, stride, block, spec.hurst)[0]
         for chunk in _path_chunks(spec, n, horizon, seeds)
@@ -149,8 +142,6 @@ def qv_normalizer(
         raise ValueError(f"n_blocks must be at least 1; got {n_blocks}")
     if mc_paths < 100:
         raise ValueError("mc_paths must be at least 100 for a usable normalizer")
-    if mc_paths > _MAX_PATHS:
-        raise ValueError(f"mc_paths must be at most {_MAX_PATHS}; got {mc_paths}")
     v = _qv_paths(spec, n_blocks, block, mc_paths, seed, steps_per_unit)
     second = float(np.mean(v**2))
     se_second = float(np.std(v**2, ddof=1)) / math.sqrt(mc_paths)
@@ -241,6 +232,8 @@ def estimate_hurst(path: SamplePath, scales) -> HurstEstimate:
         raise ValueError("degenerate (constant) path")
     log_s, log_v = [], []
     for s in scales:
+        if s < 1:
+            raise ValueError(f"scale {s} must be at least 1 grid step")
         inc = x[s:] - x[:-s]
         if inc.size < 8:
             raise ValueError(f"scale {s} leaves fewer than 8 increments")

@@ -117,6 +117,21 @@ def test_bad_counts_and_horizon_exit_2_before_drawing(tmp_path, capsys, argv, ru
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, riskless", [
+    pytest.param(["price", "perpetual", "--alpha", "0.4", "--spot", "nan"],
+                 "kind = constant\nvalue = 0.05\n", id="nan-spot"),
+    pytest.param(["price", "bond", "--T", "1"],
+                 "kind = table\ntimes = 0, 2\nvalues = 0.05, nan\n", id="nan-table-rate"),
+])
+def test_nan_market_inputs_exit_2(tmp_path, capsys, argv, riskless):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[process]\nhurst = 0.7\norder = 1\n[riskless]\n" + riskless)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.glob("out/*")) == []
+
+
 @pytest.mark.parametrize("seed", [-1, 2**44])
 def test_seed_outside_substream_range_exits_2_before_drawing(tmp_path, capsys, seed):
     # outside [0, 2^44), (root << 20) ^ i would repeat the seeds of another root

@@ -1,6 +1,7 @@
 """Perpetual derivatives, bonds, forwards and the futures field solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hermkit import (
     MarketSpec,
     Payoff,
     PricingGrid,
+    SamplePath,
     bond_price,
     cumulative_rate,
     forward_price,
@@ -614,4 +616,28 @@ def test_futures_march_fills_rows_in_blocks():
 ])
 def test_nan_times_are_rejected(call):
     with pytest.raises(ValueError, match="nonnegative|t >= 0"):
+        call(_market())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda m: AssetPath(times=[0.0, 1.0], prices=[1.0, np.nan]),
+                 "prices must be strictly positive", id="asset-price"),
+    pytest.param(lambda m: AssetPath(times=[0.0, np.nan, 2.0], prices=[1.0, 1.0, 1.0]),
+                 "times must be strictly increasing", id="asset-time"),
+    pytest.param(lambda m: SamplePath(np.array([0.0, np.nan, 2.0]), np.zeros(3), SPEC,
+                                      "exact_fbm", 0),
+                 "times must be strictly increasing", id="sample-path-time"),
+    pytest.param(lambda m: replace(m, initial_prices=(np.nan,)),
+                 "initial_prices must be 1 positive reals", id="initial-price"),
+    pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [np.nan, 0.05, 0.06]),
+                 "bounds must be a finite", id="table-first-value"),
+    pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [0.05, np.nan, 0.06]),
+                 "bounds must be a finite", id="table-inner-value"),
+    pytest.param(lambda m: price_characteristics(Payoff.power(0.4), m, 0.0, 1.0, np.nan),
+                 "price coordinates must be strictly positive", id="spot"),
+    pytest.param(lambda m: power_derivative_beta([np.nan], m),
+                 "alpha must be finite", id="alpha"),
+])
+def test_nan_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
         call(_market())

@@ -3,7 +3,6 @@
 import hashlib
 import io
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +22,14 @@ from hermkit import (
     subordinate,
 )
 from hermkit import simulate
+from hermkit.cli import main
 from hermkit.simulate import (
     _CHUNK_POINTS,
     _circulant_scales,
     _fgn_rows,
     _path_chunks,
     _rng,
-    _substream_seed,
+    _run_seeds,
     fgn_covariance,
     partial_sum_std,
 )
@@ -131,6 +131,8 @@ def test_fbm_horizon_and_steps():
     for horizon in (math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             simulate_hermite_path(HermiteSpec(0.6, 2), 64, horizon, 0)
+        with pytest.raises(ValueError, match=f"horizon must be positive and finite; got {horizon}"):
+            subordinate(HermiteSpec(0.6, 1), 32, horizon, 0)
 
 
 @pytest.mark.parametrize("seed, first_draws", [
@@ -143,13 +145,17 @@ def test_rng_streams_are_frozen(seed, first_draws):
     assert tuple(_rng(seed).standard_normal(2)) == first_draws
 
 
-def test_substream_seeds_cover_distinct_64_bit_seeds():
-    assert _substream_seed(5, 3) == (5 << 20) ^ 3
-    assert _substream_seed(2**44 - 1, 2**20 - 1) == 2**64 - 1
+def test_run_seeds_cover_distinct_64_bit_seeds():
+    assert list(_run_seeds(5, 4)) == [(5 << 20) ^ i for i in range(4)]
+    assert _run_seeds(2**44 - 1, 2**20)[-1] == 2**64 - 1
     # masked to 64 bits, -1 would repeat root 2^44 - 1 and 2^44 root 0
     for root in (-1, 2**44):
         with pytest.raises(ValueError, match=r"root seed must lie in \[0, 2\^44\)"):
-            _substream_seed(root, 0)
+            _run_seeds(root, 1)
+    # path 2^20 of root s would be path 0 of root s + 1
+    for count in (0, 2**20 + 1):
+        with pytest.raises(ValueError, match=f"at least 1 and at most {2**20} paths"):
+            _run_seeds(5, count)
 
 
 def test_rng_rejects_negative_seeds_and_extra_keys():
@@ -229,7 +235,7 @@ def test_simulate_paths_rows_equal_one_row_calls(order, hurst, n, horizon):
     spec = HermiteSpec(hurst, order)
     m = math.ceil(n * horizon)
     rows = _CHUNK_POINTS // (2 * m)
-    seeds = [_substream_seed(21, i) for i in range(3 * rows + 1)]
+    seeds = _run_seeds(21, 3 * rows + 1)
     chunks = [chunk.shape for chunk in _path_chunks(spec, n, horizon, seeds)]
     assert chunks == [(rows, m + 1)] * 3 + [(1, m + 1)]
     paths = simulate_paths(spec, n, horizon, seeds)
@@ -245,42 +251,54 @@ def test_simulate_paths_needs_a_seed():
 
 @pytest.fixture
 def negative_embedding(monkeypatch):
-    """Poison the circulant row so its spectrum has a negative eigenvalue.
+    """Poison every covariance row so each circulant spectrum has an
+    eigenvalue far below zero, and forbid building a generator.
 
-    The dense covariance (a 2-D lag matrix) stays the true one, so the
-    Cholesky fallback draws the exact law.  The spectrum cache is cleared
-    on both sides so no poisoned entry outlives the test.
+    rho_n enters eigenvalue k with sign (-1)^k, so rho_n = 10 pushes the odd
+    ones to about -10.  The spectrum and partial-sum caches are cleared on
+    both sides so no poisoned entry outlives the test.
     """
     true_covariance = simulate.fgn_covariance
 
     def poisoned(hurst_prime, lags):
         rho = true_covariance(hurst_prime, lags)
-        if np.ndim(lags) == 1:
-            rho[-1] = -10.0
+        rho[-1] = 10.0
         return rho
 
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
     _circulant_scales.cache_clear()
+    partial_sum_std.cache_clear()
     monkeypatch.setattr(simulate, "fgn_covariance", poisoned)
-    yield true_covariance
+    monkeypatch.setattr(simulate, "_rng", no_generator)
+    yield
     _circulant_scales.cache_clear()
+    partial_sum_std.cache_clear()
 
 
-def test_cholesky_fallback_warns_on_every_call(negative_embedding):
-    hurst_prime, n, seeds = 0.7, 8, [3, 4, 5]
-    cov = negative_embedding(hurst_prime, np.subtract.outer(np.arange(n), np.arange(n)))
-    chol = np.linalg.cholesky(cov)
-    for _ in range(2):  # the second call hits the cached marker
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = _fgn_rows(hurst_prime, n, seeds)
-        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
-            "circulant embedding produced a negative eigenvalue "
-            f"({_circulant_scales(hurst_prime, n):.3e}); falling back to dense Cholesky"
-        ]
-        for row, seed in zip(rows, seeds):
-            assert np.array_equal(row, chol @ _rng(seed).standard_normal(n))
-    with pytest.warns(RuntimeWarning, match="dense Cholesky"):
-        assert np.array_equal(gen_fgn(hurst_prime, n, 4).values, rows[1])
+def test_negative_embedding_raises_before_drawing(negative_embedding, tmp_path, capsys):
+    message = (r"circulant embedding of fGn at H'=0\.7, n=8 has eigenvalue "
+               r"lambda_min=-\d\.\d{3}e\+00 below the roundoff tolerance "
+               r"-\d\.\d{3}e-08 \(1e-9 \* lambda_max\)")
+    for _ in range(2):  # errors are not cached
+        with pytest.raises(FloatingPointError, match=message):
+            _fgn_rows(0.7, 8, [3, 4, 5])
+    with pytest.raises(FloatingPointError, match=message):
+        gen_fgn(0.7, 8, 4)
+    with pytest.raises(FloatingPointError, match=message):
+        simulate_paths(HermiteSpec(0.7, 1), 4, 2.0, [3, 4])
+    out = tmp_path / "out"
+    assert main(["simulate", "--hurst", "0.7", "--order", "1", "--steps", "8",
+                 "--paths", "2", "--out", str(out)]) == 1
+    assert "numerical failure: circulant embedding" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("hurst_prime", [0.5 + 1e-7, 0.75, 0.999, 1.0 - 1e-7])
+def test_circulant_spectrum_is_nonnegative_up_to_roundoff(hurst_prime):
+    for n in (2, 3, 1000, 2**14):
+        assert _circulant_scales(hurst_prime, n).shape == (n + 1,)
 
 
 def test_circulant_scales_are_read_only():

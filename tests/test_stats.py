@@ -193,6 +193,8 @@ def test_estimate_hurst_validation():
         estimate_hurst(p, (2, 4))
     with pytest.raises(ValueError, match="fewer than 8"):
         estimate_hurst(p, (2, 4, 60))
+    with pytest.raises(ValueError, match="scale 0 must be at least 1 grid step"):
+        estimate_hurst(p, (0, 2, 4))
     flat = SamplePath(p.times, np.zeros_like(p.values), None, "exact_fbm", 0)
     with pytest.raises(ValueError, match="degenerate"):
         estimate_hurst(flat, (2, 4, 8))
