@@ -28,7 +28,6 @@ from hermkit.kernel import (
     normalizing_constant,
 )
 from hermkit.simulate import (
-    GaussianSequence,
     SamplePath,
     StratonovichConfig,
     chain_rule_residual,
@@ -93,7 +92,6 @@ __all__ = [
     "eval_kernel",
     "kernel_l2_norm_sq",
     "normalizing_constant",
-    "GaussianSequence",
     "SamplePath",
     "StratonovichConfig",
     "chain_rule_residual",

@@ -70,9 +70,9 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class CliError(Exception):
     """Validation problem; maps to exit status 2 with a one-line message."""
 
 
-Table = tuple[Sequence[str], Sequence[Sequence]]
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed and re-validated configuration file."""
@@ -121,7 +118,6 @@ class OutputRecord:
     command: str
     digest: str
     seed: int
-    wall_time: float = 0.0
 
 
 def _floats(raw: str, where: str) -> list[float]:
@@ -276,33 +272,13 @@ def config_digest(command: str, params: Mapping, config_text: str) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
-
-
-def emit_plotdata(tables: Mapping[str, Table], directory: Path) -> list[Path]:
-    """Write each named result table to ``<name>.csv`` under ``directory``.
-
-    Tables carry their own column headers (``curve.csv`` →
-    ``T,discount,rate``; generic series default to ``series,x,y``).  An
-    empty table produces no file, only a warning on standard error.
-    """
-    written = []
-    for name, (header, rows) in tables.items():
-        if not rows:
-            print(f"warning: result table {name!r} is empty; no file written",
-                  file=sys.stderr)
-            continue
-        target = directory / f"{name}.csv"
-        with open(target, "w", newline="") as buf:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(list(header))
-            for row in rows:
-                writer.writerow([_fmt(c) for c in row])
-        written.append(target)
-    return written
+def _write_csv(target: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header and rows to ``target``.  Float cells are written by
+    ``str``, the shortest text that reads back to the same double."""
+    with open(target, "w", newline="") as buf:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(directory: Path, name: str, record: OutputRecord, payload: dict) -> Path:
@@ -356,23 +332,21 @@ def _market_from(cfg: RunConfig | None) -> MarketSpec:
 # subcommand handlers
 
 
-def _cmd_simulate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_simulate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     spec = _spec_from(args, cfg)
     steps = _run_setting(args, cfg, "steps", 1024)
     horizon = _run_setting(args, cfg, "horizon", 1.0)
     n_paths = _run_setting(args, cfg, "paths", 1)
     seeds = _run_seeds(record.seed, n_paths)
-    method = "exact_fbm" if spec.order == 1 else "invariance_principle"
     # row by row from the engine's chunks, so memory stays one chunk deep
     rows = itertools.chain.from_iterable(_path_chunks(spec, steps, horizon, seeds))
     names, at_one = [], []
-    for k, (seed, values) in enumerate(zip(seeds, rows)):
-        sp = SamplePath(np.arange(values.size) / steps, values, spec, method, seed)
+    for k, values in enumerate(rows):
+        times = np.arange(values.size) / steps
         name = f"path_{k}.csv"
-        with open(out_dir / name, "w", newline="") as buf:
-            sp.to_csv(buf)
+        _write_csv(out_dir / name, ("t", "value"), zip(times.tolist(), values.tolist()))
         names.append(name)
-        at_one.append(values[int(np.argmin(np.abs(sp.times - min(1.0, horizon))))])
+        at_one.append(values[int(np.argmin(np.abs(times - min(1.0, horizon))))])
     at_one = np.asarray(at_one)
     variance = float(np.var(at_one, ddof=1)) if n_paths > 1 else 0.0
     _write_json(out_dir, "summary.json", record, {
@@ -385,28 +359,23 @@ def _cmd_simulate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecor
         "variance_at_1": variance,
         "files": names,
     })
-    return record
 
 
-def _cmd_kernel(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_kernel(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     spec = _spec_from(args, cfg)
     consts = normalizing_constant(spec)
-    norm_sq = kernel_l2_norm_sq(spec, float(args.time))
     _write_json(out_dir, "kernel.json", record, {
         "hurst": spec.hurst,
         "order": spec.order,
         "c_norm": consts.c_norm,
         "d_const": consts.d_const,
         "l2_norm_at_1": consts.l2_norm_at_1,
-        "l2_error": consts.l2_error,
         "time": float(args.time),
-        "norm_sq_at_time": norm_sq.value,
-        "norm_sq_error": norm_sq.error,
+        "norm_sq_at_time": kernel_l2_norm_sq(spec, float(args.time)),
     })
-    return record
 
 
-def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     try:
         with open(args.input, newline="") as buf:
             reader = csv.reader(buf)
@@ -441,21 +410,22 @@ def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecor
         "std_error": est.std_error,
         "domain_warning": domain_warning,
     })
-    return record
 
 
-def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     spec = _spec_from(args, cfg)
     blocks = sorted(_ints(args.blocks, "--blocks"))
+    if len(set(blocks)) < 2:
+        raise CliError("--blocks needs at least two distinct block counts to fit a "
+                       f"slope; got {args.blocks!r}")
     mc_paths = _run_setting(args, cfg, "paths", 200)
     ladder = qv_ladder(spec, blocks, float(args.block), mc_paths, record.seed)
     deltas = [delta.value for delta in ladder]
     log_n = np.log(blocks)
     log_d = np.log(deltas)
     slope, intercept = (float(c) for c in np.polyfit(log_n, log_d, 1))
-    tables = {"scaling": (("logN", "log_delta"),
-                          [(float(a), float(b)) for a, b in zip(log_n, log_d)])}
-    emit_plotdata(tables, out_dir)
+    _write_csv(out_dir / "scaling.csv", ("logN", "log_delta"),
+               zip(log_n.tolist(), log_d.tolist()))
     _write_json(out_dir, "fit.json", record, {
         "hurst": spec.hurst,
         "order": spec.order,
@@ -468,10 +438,9 @@ def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
         "intercept": intercept,
         "regime_exponent": qv_regime_exponent(spec),
     })
-    return record
 
 
-def _cmd_price_bond(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_price_bond(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
     discount = bond_price(market, args.t, args.maturity)
     _write_json(out_dir, "bond.json", record, {
@@ -479,10 +448,9 @@ def _cmd_price_bond(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRec
         "maturity": args.maturity,
         "discount": discount,
     })
-    return record
 
 
-def _cmd_price_perpetual(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_price_perpetual(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
     alpha = _floats(args.alpha, "--alpha")
     if len(alpha) != market.d:
@@ -496,16 +464,14 @@ def _cmd_price_perpetual(args, cfg, out_dir: Path, record: OutputRecord) -> Outp
         "alpha": alpha,
         "beta_at_t": float(beta.beta(args.t)),
         "beta_constant": beta.constant,
-        "admissible": beta.admissible,
         "t": args.t,
         "horizon": args.horizon,
         "spot": spots,
         "price": float(price),
     })
-    return record
 
 
-def _cmd_price_forward(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_price_forward(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
     spot = float(args.spot) if args.spot else market.initial_prices[0]
     fwd = forward_price(market, spot, args.t, args.maturity)
@@ -516,10 +482,9 @@ def _cmd_price_forward(args, cfg, out_dir: Path, record: OutputRecord) -> Output
         "forward": fwd,
         "discount": bond_price(market, args.t, args.maturity),
     })
-    return record
 
 
-def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
     spec = market.spec
     horizon = float(args.horizon)
@@ -542,15 +507,10 @@ def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> Output
     grid = PricingGrid(x_lo=x_lo, x_hi=x_hi, nx=int(args.grid), nt=int(args.grid),
                        t_start=0.0, t_end=horizon)
     out = futures_march(profile, path, market, grid)
-    with open(out_dir / "futures.csv", "w", newline="") as buf:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t"] + [repr(float(x)) for x in out.x_grid])
-        for k, t in enumerate(out.t_grid):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in out.psi[k]])
-    tables = {"residual": (("t", "residual"),
-                           [(float(t), float(r))
-                            for t, r in zip(out.t_grid, out.residual)])}
-    emit_plotdata(tables, out_dir)
+    _write_csv(out_dir / "futures.csv", ["t", *out.x_grid.tolist()],
+               np.column_stack((out.t_grid, out.psi)).tolist())
+    _write_csv(out_dir / "residual.csv", ("t", "residual"),
+               zip(out.t_grid.tolist(), out.residual.tolist()))
     _write_json(out_dir, "futures.json", record, {
         "grid": int(args.grid),
         "horizon": horizon,
@@ -559,26 +519,25 @@ def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> Output
         "profile": {"base": base, "step": step, "center": center, "width": width},
         "residual_sup": float(np.abs(out.residual).max()),
     })
-    return record
 
 
-def _cmd_curve(args, cfg, out_dir: Path, record: OutputRecord) -> OutputRecord:
+def _cmd_curve(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
     maturities = _floats(args.maturities, "--maturities")
+    if not maturities:
+        raise CliError(f"--maturities needs at least one maturity; got {args.maturities!r}")
     ts = term_structure(market, [args.t], maturities)
+    discounts = ts.discounts[0].tolist()
     rates = [float(instantaneous_rate(market.spec, market.riskless, m))
              for m in maturities]
-    rows = [(float(m), float(d), r)
-            for m, d, r in zip(maturities, ts.discounts[0], rates)]
-    tables = {"curve": (("T", "discount", "rate"), rows)}
-    emit_plotdata(tables, out_dir)
+    _write_csv(out_dir / "curve.csv", ("T", "discount", "rate"),
+               zip(maturities, discounts, rates))
     _write_json(out_dir, "curve.json", record, {
         "t": args.t,
-        "maturities": [float(m) for m in maturities],
-        "discounts": [float(d) for d in ts.discounts[0]],
+        "maturities": maturities,
+        "discounts": discounts,
         "rates": rates,
     })
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +642,8 @@ def _full_command(args) -> str:
     return f"{cmd} {instrument}" if instrument else cmd
 
 
-def dispatch(args) -> OutputRecord:
-    """Run one parsed subcommand and return its output record."""
+def dispatch(args) -> float:
+    """Run one parsed subcommand and return its wall time in seconds."""
     cfg = load_config(args.config) if args.config else None
     seed = args.seed if args.seed is not None else (cfg.run.get("seed", 0) if cfg else 0)
     out_dir = Path(
@@ -701,8 +660,8 @@ def dispatch(args) -> OutputRecord:
     digest = config_digest(command, vars(args), cfg.text if cfg else "")
     record = OutputRecord(command=command, digest=digest, seed=int(seed))
     started = time.perf_counter()
-    record = args.handler(args, cfg, out_dir, record)
-    return replace(record, wall_time=time.perf_counter() - started)
+    args.handler(args, cfg, out_dir, record)
+    return time.perf_counter() - started
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -712,14 +671,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code else 0
     try:
-        record = dispatch(args)
+        wall_time = dispatch(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    print(f"wall time: {record.wall_time:.3f} s", file=sys.stderr)
+    print(f"wall time: {wall_time:.3f} s", file=sys.stderr)
     return 0
 
 

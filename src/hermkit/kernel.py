@@ -94,7 +94,7 @@ class QuadResult(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelConstants:
-    """The constants (C, D, ||K_1||); ``l2_error`` is 0.0 for the exact values.
+    """The exact constants (C, D, ||K_1||).
 
     Invariants: c_norm * sqrt(k!) * l2_norm_at_1 = 1 and
     d_const = l2_norm_at_1 / sqrt(k!).
@@ -103,7 +103,6 @@ class KernelConstants:
     c_norm: float
     d_const: float
     l2_norm_at_1: float
-    l2_error: float = 0.0
 
 
 @lru_cache(maxsize=64)
@@ -348,11 +347,9 @@ def _constants(spec: HermiteSpec) -> KernelConstants:
     )
 
 
-def kernel_l2_norm_sq(spec: HermiteSpec, t: float) -> QuadResult:
-    """Squared L2 norm ||K_t||^2 = ||K_1||^2 * t^(2H) over R^order.
-
-    Exact for every order, so ``error`` is 0.0.  Raises OverflowError when
-    the value is not a finite double.
+def kernel_l2_norm_sq(spec: HermiteSpec, t: float) -> float:
+    """Squared L2 norm ||K_t||^2 = ||K_1||^2 * t^(2H) over R^order, exact for
+    every order.  Raises OverflowError when the value is not a finite double.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite; got {t}")
@@ -366,7 +363,7 @@ def kernel_l2_norm_sq(spec: HermiteSpec, t: float) -> QuadResult:
             f"||K_t||^2 at t={t} is not a finite double for hurst={spec.hurst}, "
             f"order={spec.order}"
         )
-    return QuadResult(value, 0.0)
+    return value
 
 
 def d_constant(spec: HermiteSpec) -> float:
@@ -378,8 +375,7 @@ def normalizing_constant(spec: HermiteSpec) -> KernelConstants:
     """Return (C, D, ||K_1||) for the spec, exact for every order.
 
     All three come from the beta identity for ||K_1||^2 (see the module
-    docstring); ``l2_error`` is 0.0.  Raises OverflowError when ||K_1||^2
-    is not a finite double.
+    docstring).  Raises OverflowError when ||K_1||^2 is not a finite double.
     """
     return _constants(spec)
 

@@ -90,8 +90,9 @@ class BasicRate:
         return float(out) if np.isscalar(t) else out
 
     def derivative(self, t):
-        """Exact d(rate)/dt for constant/polynomial kinds (table kinds go
-        through the finite-difference route in :func:`instantaneous_rate`)."""
+        """Exact d(rate)/dt.  A table rate has the slope of the segment that
+        starts at t: the right derivative at a node, and 0 where the table
+        is clamped (before its first node, and from its last one on)."""
         t_arr = np.asarray(t, dtype=float)
         if self.kind == "constant":
             out = np.zeros_like(t_arr)
@@ -99,7 +100,11 @@ class BasicRate:
             der = np.polynomial.polynomial.polyder(self.parameters)
             out = np.polynomial.polynomial.polyval(t_arr, der)
         else:
-            raise ValueError("table rates have no exact derivative")
+            times, values = (np.asarray(p, dtype=float) for p in self.parameters)
+            slopes = np.diff(values) / np.diff(times)
+            seg = np.searchsorted(times, t_arr, side="right") - 1
+            inside = (seg >= 0) & (seg < slopes.size)
+            out = np.where(inside, slopes[np.clip(seg, 0, slopes.size - 1)], 0.0)
         return float(out) if np.isscalar(t) else out
 
 
@@ -120,30 +125,20 @@ def cumulative_rate(spec: HermiteSpec, rate: BasicRate, t):
 def instantaneous_rate(spec: HermiteSpec, rate: BasicRate, t):
     """Time derivative of :func:`cumulative_rate`.
 
-    Exact product rule D*(rate'(t) t^(2H) + 2H rate(t) t^(2H-1)) for
-    constant and polynomial kinds; central finite difference of the
-    cumulative rate for table kinds.  Returns 0 at t = 0 (the continuous
+    Exact product rule D*(rate'(t) t^(2H) + 2H rate(t) t^(2H-1)) for every
+    kind, with :meth:`BasicRate.derivative` giving rate'(t) (a table rate's
+    right derivative at its nodes).  Returns 0 at t = 0 (the continuous
     extension: 2H > 1 makes t^(2H-1) vanish there).
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr >= 0):
         raise ValueError("instantaneous rate requires t >= 0")
     h2 = 2.0 * spec.hurst
-    if rate.kind == "table":
-        h = 1e-6 * np.maximum(t_arr, 1.0)
-        h = np.minimum(h, np.where(t_arr > 0, t_arr / 2.0, 1.0))
-        with np.errstate(invalid="ignore"):
-            out = (
-                cumulative_rate(spec, rate, t_arr + h)
-                - cumulative_rate(spec, rate, np.maximum(t_arr - h, 0.0))
-            ) / (2.0 * h)
-    else:
-        d = d_constant(spec)
-        with np.errstate(invalid="ignore"):
-            out = d * (
-                rate.derivative(t_arr) * t_arr**h2
-                + h2 * rate(t_arr) * t_arr ** (h2 - 1.0)
-            )
+    with np.errstate(invalid="ignore"):
+        out = d_constant(spec) * (
+            rate.derivative(t_arr) * t_arr**h2
+            + h2 * rate(t_arr) * t_arr ** (h2 - 1.0)
+        )
     out = np.where(t_arr == 0.0, 0.0, out)
     return float(out) if np.isscalar(t) else out
 

@@ -62,6 +62,8 @@ class Payoff:
             raise ValueError(f"kind must be one of {_PAYOFF_KINDS}; got {self.kind!r}")
         if self.kind == "power_product" and not self.exponents:
             raise ValueError("power_product payoff needs exponents")
+        if self.kind == "power_product" and not np.all(np.isfinite(self.exponents)):
+            raise ValueError(f"power exponents must be finite; got {list(self.exponents)}")
         if self.kind == "callable" and self.fn is None:
             raise ValueError("callable payoff needs fn")
         if self.kind == "table" and (self.nodes is None or self.node_values is None):
@@ -322,7 +324,6 @@ class PowerBeta:
 
     beta: Callable[[float], float]
     constant: float | None
-    admissible: bool = True
 
 
 def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
@@ -355,7 +356,7 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
         const = base + sum(
             float(ai) * dv.parameters[0] / r0 for ai, dv in zip(a, market.dividends)
         )
-        return PowerBeta(beta=lambda t: const, constant=const, admissible=True)
+        return PowerBeta(beta=lambda t: const, constant=const)
 
     def beta(t: float) -> float:
         if t == 0.0:
@@ -369,7 +370,7 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
             for ai, dv in zip(a, market.dividends)
         )
 
-    return PowerBeta(beta=beta, constant=None, admissible=True)
+    return PowerBeta(beta=beta, constant=None)
 
 
 def bond_price(market: MarketSpec, t: float, maturity: float) -> float:

@@ -10,9 +10,9 @@ One path engine, one time change, one integration tool:
   at most _CHUNK_POINTS embedded points that share one FFT call, with the
   circulant spectrum cached per (H', length); circulant embedding is the
   only fGn route, and a spectrum negative beyond roundoff raises
-  FloatingPointError.  :func:`simulate_hermite_path` (and
-  :func:`simulate_fbm_exact` at k = 1) is the one-row call as a
-  :class:`SamplePath`;
+  FloatingPointError.  :func:`gen_fgn` is one row of that noise as an
+  array; :func:`simulate_hermite_path` (and :func:`simulate_fbm_exact` at
+  k = 1) is the one-row path as a :class:`SamplePath`;
 * :func:`subordinate` — the market-time process S(t) = X(t^(1/2H)), whose
   variance is exactly t (self-similarity index 1/2, increments not
   stationary);
@@ -29,12 +29,11 @@ seed with :func:`_run_seeds`, the one home of that rule and its limits.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, IO
+from typing import Callable
 
 import numpy as np
 
@@ -66,25 +65,6 @@ class SamplePath:
             raise ValueError(f"method must be one of {_METHODS}; got {self.method!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    def to_csv(self, buf: IO[str]) -> None:
-        """Write the path as `t,value` rows at full double precision."""
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, v in zip(self.times, self.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
-
-
-@dataclass(frozen=True)
-class GaussianSequence:
-    """Stationary zero-mean unit-variance Gaussian sequence with fGn covariance."""
-
-    values: np.ndarray
-    hurst_prime: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -192,7 +172,7 @@ def _fgn_rows(hurst_prime: float, n: int, seeds) -> np.ndarray:
     return np.fft.fft(w, axis=1).real[:, :n]
 
 
-def gen_fgn(hurst_prime: float, n: int, seed: int) -> GaussianSequence:
+def gen_fgn(hurst_prime: float, n: int, seed: int) -> np.ndarray:
     """n draws of fractional Gaussian noise by circulant embedding.
 
     The covariance sequence rho(0..n) is reflected into a circulant of size
@@ -202,7 +182,7 @@ def gen_fgn(hurst_prime: float, n: int, seed: int) -> GaussianSequence:
     negative beyond roundoff raises FloatingPointError before any normal is
     drawn.
     """
-    return GaussianSequence(_fgn_rows(hurst_prime, n, [seed])[0], hurst_prime, seed)
+    return _fgn_rows(hurst_prime, n, [seed])[0]
 
 
 def hermite_polynomial(m: int, x):
@@ -327,6 +307,8 @@ def subordinate(
         raise ValueError(f"horizon must be positive and finite; got {horizon}")
     if n <= 0:
         raise ValueError(f"steps per unit time must be positive; got {n}")
+    if not 0 < oversample < math.inf:
+        raise ValueError(f"oversample must be positive and finite; got {oversample}")
     if isinstance(source, SamplePath):
         driver, spec = source, source.spec
     else:

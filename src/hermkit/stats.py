@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +29,19 @@ from .simulate import _MAX_ROOT, SamplePath, _path_chunks, _run_seeds, fgn_covar
 
 @dataclass(frozen=True)
 class QVReport:
-    """Centered quadratic variation and (once known) its normalizer.
+    """Centered quadratic variation V of one path.
 
-    ``n_blocks`` is the N of the N+1 summed blocks.  ``normalizer`` is the
-    Monte Carlo scale delta = sqrt(E[V^2]); reports produced by
-    :func:`centered_qv` carry only the statistic, and
-    :meth:`with_normalizer` fills in the rest.
+    ``n_blocks`` is the N of the N+1 summed blocks; the scale
+    delta = sqrt(E[V^2]) that normalizes V is :func:`qv_normalizer`'s.
     """
 
     v_stat: float
     n_blocks: int
     block_length: float
-    normalizer: float | None = None
-    normalized: float | None = None
 
     def __post_init__(self) -> None:
         if self.block_length <= 0:
             raise ValueError("block_length must be positive")
-        if self.normalizer is not None and self.normalizer <= 0:
-            raise ValueError("normalizer must be positive")
-
-    def with_normalizer(self, normalizer: float) -> "QVReport":
-        return replace(
-            self, normalizer=normalizer, normalized=self.v_stat / normalizer
-        )
 
 
 @dataclass(frozen=True)
@@ -67,7 +56,10 @@ class HurstEstimate:
 
 
 def _block_stride(dt: float, block: float) -> int:
-    """Grid stride covering one block, or raise if the block is misaligned."""
+    """Grid stride covering one block; raises on a block length that is not
+    positive and finite or not a multiple of the grid step."""
+    if not 0 < block < math.inf:
+        raise ValueError(f"block length must be positive and finite; got {block}")
     stride = block / dt
     if abs(stride - round(stride)) > 1e-9 * max(stride, 1.0) or round(stride) < 1:
         raise ValueError(
@@ -112,9 +104,12 @@ def _qv_paths(
     invariance principle to hold (the block must remain grid-aligned).
     """
     horizon = (n_blocks + 1) * block
-    n = max(1, round(1.0 / block)) if spec.order == 1 else steps_per_unit
-    if abs(n * block - round(n * block)) > 1e-9:
-        n = steps_per_unit
+    n = steps_per_unit
+    # 1/block needs a positive finite block; _block_stride names any other
+    if spec.order == 1 and 0 < block < math.inf:
+        coarse = max(1, round(1.0 / block))
+        if abs(coarse * block - round(coarse * block)) <= 1e-9:
+            n = coarse
     stride = _block_stride(1.0 / n, block)
     seeds = _run_seeds(seed, mc_paths)
     return np.concatenate([
@@ -136,8 +131,6 @@ def qv_normalizer(
     ``error`` is the delta-method propagation of the second-moment standard
     error through the square root.
     """
-    if not 0 < block < math.inf:
-        raise ValueError(f"block length must be positive and finite; got {block}")
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1; got {n_blocks}")
     if mc_paths < 100:

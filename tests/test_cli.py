@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from scipy.special import beta as beta_fn
 
-from hermkit.cli import config_digest, emit_plotdata, load_config, main
+from hermkit.cli import config_digest, load_config, main
 
 # kappa = 2, H = 0.7 cumulative-rate constant, frozen from the closed form
 D_CONST = 7.350264372833577
@@ -157,6 +157,13 @@ def test_qv_ladder_seed_near_limit_exits_2_before_drawing(tmp_path, capsys):
     pytest.param(["--block", "0"], "block length must be positive and finite; got 0.0",
                  id="zero-block"),
     pytest.param(["--blocks", "0,8"], "n_blocks must be at least 1; got 0", id="zero-blocks"),
+    pytest.param(["--blocks", ""], "at least two distinct block counts to fit a slope; got ''",
+                 id="no-block-counts"),
+    pytest.param(["--blocks", "8"], "at least two distinct block counts to fit a slope; got '8'",
+                 id="one-block-count"),
+    pytest.param(["--blocks", "8,8"],
+                 "at least two distinct block counts to fit a slope; got '8,8'",
+                 id="repeated-block-count"),
 ])
 def test_qv_bad_block_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
@@ -183,7 +190,6 @@ def test_kernel_order3_matches_beta_oracle(tmp_path):
     assert payload["c_norm"] == pytest.approx(1.0 / math.sqrt(6.0 * norm_sq), rel=1e-12)
     assert payload["d_const"] == pytest.approx(math.sqrt(norm_sq / 6.0), rel=1e-12)
     assert payload["norm_sq_at_time"] == pytest.approx(norm_sq, rel=1e-12)
-    assert payload["l2_error"] == 0.0 and payload["norm_sq_error"] == 0.0
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -236,7 +242,6 @@ def test_perpetual_reports_beta_and_price(tmp_path, cfg_file):
     payload = _read_json(out, "perpetual.json")
     assert payload["beta_constant"] == pytest.approx(0.6)
     assert payload["beta_at_t"] == pytest.approx(0.6)
-    assert payload["admissible"] is True
     # zero dividends: the power payoff prices to spot^alpha * Lambda^(1-alpha)
     lam = math.exp(-D_CONST * 0.05)
     assert payload["price"] == pytest.approx(lam ** 0.6, rel=1e-12)
@@ -279,6 +284,17 @@ def test_curve_outputs(tmp_path, cfg_file):
     assert len(lines) == 4
     payload = _read_json(out, "curve.json")
     assert payload["discounts"][1] == pytest.approx(math.exp(-D_CONST * 0.05), rel=1e-12)
+    # every cell is the shortest repr of the double in curve.json
+    assert lines[1:] == [f"{m!r},{d!r},{r!r}" for m, d, r in
+                         zip(payload["maturities"], payload["discounts"], payload["rates"])]
+
+
+def test_curve_rejects_empty_maturities(tmp_path, cfg_file, capsys):
+    out = tmp_path / "out"
+    code = main(["curve", "--maturities", "", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 2
+    assert "--maturities needs at least one maturity; got ''" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_qv_scaling_outputs(tmp_path):
@@ -334,13 +350,3 @@ def test_config_digest_ignores_output_location():
     assert a == b
     assert config_digest("kernel", {"time": 2.0}, "") != a
     assert config_digest("kernel", {"time": 1.0}, "[process]") != a
-
-
-def test_emit_plotdata_skips_empty_tables(tmp_path, capsys):
-    written = emit_plotdata({"curve": (("T", "discount"), [])}, tmp_path)
-    assert written == []
-    assert not (tmp_path / "curve.csv").exists()
-    assert "empty" in capsys.readouterr().err
-    written = emit_plotdata({"curve": (("T", "discount"), [(1.0, 0.9)])}, tmp_path)
-    assert written == [tmp_path / "curve.csv"]
-    assert (tmp_path / "curve.csv").read_text() == "T,discount\n1.0,0.9\n"

@@ -56,9 +56,8 @@ def test_norm_sq_order1_quadrature(hurst):
 @pytest.mark.parametrize("hurst", [0.6, 0.7, 0.8])
 def test_norm_sq_order2_exact(hurst):
     res = kernel_l2_norm_sq(HermiteSpec(hurst, 2), 1.0)
-    assert res.value == pytest.approx(NORM_SQ_ORDER2[hurst], rel=5e-6)
-    assert res.value == pytest.approx(exact_norm_sq(HermiteSpec(hurst, 2)), rel=1e-12)
-    assert res.error == 0.0
+    assert res == pytest.approx(NORM_SQ_ORDER2[hurst], rel=5e-6)
+    assert res == pytest.approx(exact_norm_sq(HermiteSpec(hurst, 2)), rel=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -66,7 +65,7 @@ def test_norm_sq_order2_exact(hurst):
 def test_norm_matches_beta_closed_form(hurst, order):
     spec = HermiteSpec(hurst, order)
     res = kernel_l2_norm_sq(spec, 1.0)
-    rel = abs(res.value - exact_norm_sq(spec)) / exact_norm_sq(spec)
+    rel = abs(res - exact_norm_sq(spec)) / exact_norm_sq(spec)
     assert rel < 1e-12
 
 
@@ -90,11 +89,10 @@ def test_constants_match_beta_oracle(order, hurst):
     k_fact = math.factorial(order)
     consts = normalizing_constant(spec)
     res = kernel_l2_norm_sq(spec, 1.0)
-    assert res.value == pytest.approx(norm_sq, rel=1e-12) and res.error == 0.0
+    assert res == pytest.approx(norm_sq, rel=1e-12)
     assert consts.l2_norm_at_1 == pytest.approx(math.sqrt(norm_sq), rel=1e-12)
     assert consts.c_norm == pytest.approx(1.0 / math.sqrt(k_fact * norm_sq), rel=1e-12)
     assert consts.d_const == pytest.approx(math.sqrt(norm_sq / k_fact), rel=1e-12)
-    assert consts.l2_error == 0.0
 
 
 def test_order3_rate_constant_at_high_hurst():
@@ -129,7 +127,7 @@ def test_norm_time_scaling():
     assert two / one == pytest.approx(2.0 ** (2 * spec.hurst), rel=1e-9)
     for order in (1, 3):
         exact = HermiteSpec(0.65, order)
-        assert kernel_l2_norm_sq(exact, 2.0).value == pytest.approx(
+        assert kernel_l2_norm_sq(exact, 2.0) == pytest.approx(
             2.0 ** (2 * exact.hurst) * exact_norm_sq(exact), rel=1e-13
         )
 

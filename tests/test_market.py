@@ -52,8 +52,10 @@ def test_basic_rate_kinds_and_calls():
     tab = BasicRate.table([0.0, 1.0, 2.0], [0.01, 0.03, 0.02])
     assert tab(0.5) == pytest.approx(0.02)
     assert tab(5.0) == pytest.approx(0.02)  # clamped beyond the table
-    with pytest.raises(ValueError):
-        tab.derivative(0.5)
+    # segment slopes, the right one at a node, 0 where the table is clamped
+    t = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 5.0])
+    assert tab.derivative(t).tolist() == pytest.approx([0.0, 0.02, 0.02, -0.01, -0.01, 0.0, 0.0])
+    assert tab.derivative(0.5) == pytest.approx(0.02)
 
 
 def test_cumulative_rate_form_and_anchor():
@@ -67,21 +69,34 @@ def test_cumulative_rate_form_and_anchor():
 
 
 def test_instantaneous_integrates_back_to_cumulative():
-    # fundamental-theorem round trip, constant and polynomial rates
-    for rate in (BasicRate.constant(0.05), BasicRate.polynomial([0.03, 0.02, -0.004])):
+    # fundamental-theorem round trip; a table rate's kinks are panel ends
+    nodes = [0.0, 0.5, 1.0, 1.3]
+    table = BasicRate.table(nodes, [0.05, 0.06, 0.055, 0.065])
+    for rate in (BasicRate.constant(0.05), BasicRate.polynomial([0.03, 0.02, -0.004]), table):
         target = cumulative_rate(SPEC, rate, 1.7)
-        val, err = quad(lambda u: instantaneous_rate(SPEC, rate, u), 0.0, 1.7)
+        val, err = quad(lambda u: instantaneous_rate(SPEC, rate, u), 0.0, 1.7,
+                        points=nodes[1:])
         assert val == pytest.approx(target, abs=max(1e-10, 10 * err))
+
+
+def test_instantaneous_rate_is_the_right_derivative_at_table_nodes():
+    tab = BasicRate.table([0.0, 0.5, 1.0, 2.0], [0.05, 0.06, 0.055, 0.065])
+    h2, d = 2.0 * SPEC.hurst, d_constant(SPEC)
+    for node, right in ((0.5, 1.0), (1.0, 2.0)):
+        slope = (tab(right) - tab(node)) / (right - node)
+        expected = d * (slope * node**h2 + h2 * tab(node) * node ** (h2 - 1.0))
+        assert instantaneous_rate(SPEC, tab, node) == pytest.approx(expected, rel=1e-14)
+        assert instantaneous_rate(SPEC, tab, [node])[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_instantaneous_rate_at_zero_and_table_fallback():
     r = BasicRate.constant(0.05)
     assert instantaneous_rate(SPEC, r, 0.0) == 0.0
     tab = BasicRate.table([0.0, 1.0], [0.05, 0.05])
-    # table rates differentiate numerically; constant tables match exactly
-    assert instantaneous_rate(SPEC, tab, 0.8) == pytest.approx(
-        instantaneous_rate(SPEC, r, 0.8), rel=1e-6
-    )
+    assert instantaneous_rate(SPEC, tab, 0.0) == 0.0
+    # a flat table is the constant rate, bit for bit
+    t = np.array([0.3, 0.8, 1.0, 2.5])
+    assert np.array_equal(instantaneous_rate(SPEC, tab, t), instantaneous_rate(SPEC, r, t))
 
 
 def test_riskless_price_is_exp_cumulative():

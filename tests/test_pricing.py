@@ -215,7 +215,6 @@ def test_power_beta_no_dividends_complements_alpha():
     m = _market(delta=0.0)
     beta = power_derivative_beta(0.35, m)
     assert beta.constant == 0.65
-    assert beta.admissible
 
 
 def test_power_beta_time_varying_satisfies_budget_identity():
@@ -637,6 +636,8 @@ def test_nan_times_are_rejected(call):
                  "price coordinates must be strictly positive", id="spot"),
     pytest.param(lambda m: power_derivative_beta([np.nan], m),
                  "alpha must be finite", id="alpha"),
+    pytest.param(lambda m: price_characteristics(Payoff.power(np.nan), m, 0.0, 1.0, 1.0),
+                 "power exponents must be finite", id="power-exponent"),
 ])
 def test_nan_inputs_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):

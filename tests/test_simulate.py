@@ -1,7 +1,6 @@
 """Sample-path generators and pathwise Stratonovich integration."""
 
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -54,13 +53,13 @@ def test_fgn_sample_lag1_autocorrelation():
     target = (2 ** (2 * h) - 2) / 2  # 0.31951...
     acc = []
     for seed in range(6):
-        x = gen_fgn(h, 2 ** 14, seed).values
+        x = gen_fgn(h, 2 ** 14, seed)
         acc.append(np.mean(x[1:] * x[:-1]) / np.mean(x * x))
     assert np.mean(acc) == pytest.approx(target, abs=0.01)
 
 
 def test_fgn_unit_variance():
-    x = gen_fgn(0.8, 2 ** 15, 11).values
+    x = gen_fgn(0.8, 2 ** 15, 11)
     assert np.var(x) == pytest.approx(1.0, abs=0.05)
 
 
@@ -84,16 +83,11 @@ def test_hermite_polynomial_orthogonality():
             assert inner == pytest.approx(expected, abs=1e-8)
 
 
-def test_sample_path_validation_and_csv():
+def test_sample_path_validation():
     times = np.array([0.0, 0.5, 1.0])
     values = np.array([0.0, 0.2, -0.1])
     path = SamplePath(times, values, HermiteSpec(0.7, 1), "exact_fbm", 3)
-    buf = io.StringIO()
-    path.to_csv(buf)
-    lines = buf.getvalue().split("\n")
-    assert lines[0] == "t,value"
-    assert lines[1] == "0.0,0.0"
-    assert float(lines[2].split(",")[1]) == 0.2
+    assert path.values.dtype == float and path.values[1] == 0.2
     with pytest.raises(ValueError, match="start at t=0"):
         SamplePath(times + 1.0, values, None, "exact_fbm", 0)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -133,6 +127,10 @@ def test_fbm_horizon_and_steps():
             simulate_hermite_path(HermiteSpec(0.6, 2), 64, horizon, 0)
         with pytest.raises(ValueError, match=f"horizon must be positive and finite; got {horizon}"):
             subordinate(HermiteSpec(0.6, 1), 32, horizon, 0)
+    for oversample in (math.nan, math.inf, 0, -2):
+        with pytest.raises(ValueError,
+                           match=f"oversample must be positive and finite; got {oversample}"):
+            subordinate(HermiteSpec(0.6, 1), 64, 1.0, 1, oversample=oversample)
 
 
 @pytest.mark.parametrize("seed, first_draws", [
@@ -171,7 +169,7 @@ def test_partial_sum_std_matches_simulation():
     n = 256
     sims = []
     for seed in range(400):
-        xi = gen_fgn(spec.hurst_prime, n, 5_000 + seed).values
+        xi = gen_fgn(spec.hurst_prime, n, 5_000 + seed)
         sims.append(hermite_polynomial(2, xi).sum())
     assert np.std(sims) == pytest.approx(partial_sum_std(spec, n), rel=0.15)
 
@@ -191,7 +189,7 @@ def test_hermite_path_is_the_explicit_construction(order):
     n, horizon, seed = 64, 1.5, 123
     path = simulate_hermite_path(spec, n, horizon, seed)
     m = math.ceil(n * horizon)
-    xi = gen_fgn(spec.hurst_prime, m, seed).values
+    xi = gen_fgn(spec.hurst_prime, m, seed)
     sums = np.concatenate([[0.0], np.cumsum(hermite_polynomial(order, xi))])
     assert np.array_equal(path.values, sums / partial_sum_std(spec, n))
     assert np.array_equal(path.times, np.arange(m + 1) / n)
@@ -206,7 +204,7 @@ def test_order1_path_is_exact_fbm(hurst, n, recwarn):
     horizon, seed = 1.25, 31
     path = simulate_hermite_path(HermiteSpec(hurst, 1), n, horizon, seed)
     m = math.ceil(n * horizon)
-    expected = np.concatenate([[0.0], np.cumsum(gen_fgn(hurst, m, seed).values)]) * n ** -hurst
+    expected = np.concatenate([[0.0], np.cumsum(gen_fgn(hurst, m, seed))]) * n ** -hurst
     np.testing.assert_allclose(path.values, expected, rtol=1e-15, atol=0.0)
     assert path.method == "exact_fbm"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -37,6 +37,13 @@ def test_centered_qv_of_zero_path_is_minus_centering():
     assert report.v_stat == pytest.approx(-(report.n_blocks + 1), rel=1e-14)
 
 
+@pytest.mark.parametrize("block", [math.nan, math.inf, 0.0, -1.0])
+def test_centered_qv_names_a_bad_block_length(block):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"block length must be positive and finite; got {block}")):
+        centered_qv(_flat_path(8, 4), 0.6, block)
+
+
 def test_centered_qv_centering_is_unbiased():
     # E V = 0 under the exact grid law
     h = 0.7
@@ -47,13 +54,6 @@ def test_centered_qv_centering_is_unbiased():
     stats = np.asarray(stats)
     se = stats.std(ddof=1) / np.sqrt(stats.size)
     assert abs(stats.mean()) < 3 * se
-
-
-def test_qv_report_normalizer():
-    report = centered_qv(_flat_path(8, 4), 0.6, 1.0).with_normalizer(2.0)
-    assert report.normalized == report.v_stat / 2.0
-    with pytest.raises(ValueError):
-        report.with_normalizer(-1.0)
 
 
 def test_qv_normalizer_positive_and_seeded():
