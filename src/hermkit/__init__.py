@@ -21,7 +21,6 @@ from hermkit.kernel import (
     HermiteSpec,
     KernelConstants,
     QuadResult,
-    QuadratureError,
     covariance,
     eval_kernel,
     kernel_l2_norm_sq,
@@ -87,7 +86,6 @@ __all__ = [
     "HermiteSpec",
     "KernelConstants",
     "QuadResult",
-    "QuadratureError",
     "covariance",
     "eval_kernel",
     "kernel_l2_norm_sq",

@@ -92,10 +92,9 @@ from .pricing import (
     futures_march,
     power_derivative_beta,
     price_characteristics,
-    term_structure,
 )
 from .simulate import SamplePath, _path_chunks, _run_seeds
-from .stats import estimate_hurst, qv_ladder, qv_regime_exponent
+from .stats import _qv_slope_fit, estimate_hurst, qv_ladder, qv_regime_exponent
 
 
 class CliError(Exception):
@@ -421,11 +420,9 @@ def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     mc_paths = _run_setting(args, cfg, "paths", 200)
     ladder = qv_ladder(spec, blocks, float(args.block), mc_paths, record.seed)
     deltas = [delta.value for delta in ladder]
-    log_n = np.log(blocks)
-    log_d = np.log(deltas)
-    slope, intercept = (float(c) for c in np.polyfit(log_n, log_d, 1))
+    slope, intercept = _qv_slope_fit(blocks, deltas)
     _write_csv(out_dir / "scaling.csv", ("logN", "log_delta"),
-               zip(log_n.tolist(), log_d.tolist()))
+               zip(np.log(blocks).tolist(), np.log(deltas).tolist()))
     _write_json(out_dir, "fit.json", record, {
         "hurst": spec.hurst,
         "order": spec.order,
@@ -526,10 +523,11 @@ def _cmd_curve(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     maturities = _floats(args.maturities, "--maturities")
     if not maturities:
         raise CliError(f"--maturities needs at least one maturity; got {args.maturities!r}")
-    ts = term_structure(market, [args.t], maturities)
-    discounts = ts.discounts[0].tolist()
-    rates = [float(instantaneous_rate(market.spec, market.riskless, m))
-             for m in maturities]
+    spec, riskless = market.spec, market.riskless
+    # one array call each: the anchor's cumulative rate rides in front
+    cum = cumulative_rate(spec, riskless, np.array([args.t, *maturities]))
+    discounts = np.exp(cum[0] - cum[1:]).tolist()
+    rates = instantaneous_rate(spec, riskless, np.array(maturities)).tolist()
     _write_csv(out_dir / "curve.csv", ("T", "discount", "rate"),
                zip(maturities, discounts, rates))
     _write_json(out_dir, "curve.json", record, {

@@ -25,8 +25,8 @@ to each of the k factors and then integrated over [0, t]^2, gives
 
 (Maejima & Tudor 2007).  For large k (or H very close to 1) this exceeds the
 double range, and the constants raise OverflowError rather than return inf.
-An adaptive quadrature of the order-1 norm is kept as an independent
-reference route for the identity.
+The independent reference route for the identity, an adaptive quadrature of
+the order-1 norm, lives with the tests (``tests/kernel_quadrature.py``).
 
 Beware that several other normalization conventions circulate for the same
 processes (for k=1 the two-sided moving-average kernel
@@ -43,12 +43,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import beta as _beta, hyp2f1
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the order-1 reference quadrature misses its accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,12 @@ def _G_primitive(g: float, z: np.ndarray) -> np.ndarray:
 
     Monotone from 0 to the beta value B(1+g, -1-2g) as z -> inf; scipy's
     hypergeometric is machine-accurate over the whole range, so the only
-    care needed is clamping z before it overflows inside the ufunc.
+    care needed is clamping z before it overflows inside the ufunc.  Only
+    this order-2 route needs scipy, so it is imported here and nowhere on
+    the package's import path.
     """
+    from scipy.special import hyp2f1
+
     z = np.minimum(z, 1e300)
     return z ** (1.0 + g) / (1.0 + g) * hyp2f1(-g, 1.0 + g, 2.0 + g, -z)
 
@@ -283,42 +281,6 @@ def eval_kernel_batch(spec: HermiteSpec, t: float, coords: np.ndarray) -> np.nda
     return np.array([eval_kernel(spec, t, row) for row in coords])
 
 
-def _l2_norm_sq_quad_k1(spec: HermiteSpec, t: float) -> QuadResult:
-    """Adaptive-quadrature ||K_t||^2 for order 1: a reference route only.
-
-    For order 1 the kernel integral has the exact antiderivative
-    K_t(v) = ((t-v)^p - max(-v,0)^p)/p with p = H - 1/2, so the squared-norm
-    integrand is evaluated in closed form and integrated adaptively over
-    (-inf, 0] and [0, t] (the kink at 0 is a panel boundary).  The public
-    functions use the beta identity; this numeric route is kept so the
-    identity can be checked against an independent computation.
-    """
-    p = spec.hurst - 0.5
-    rel_tol = 1e-6
-
-    def k_sq(vv: float) -> float:
-        if vv >= t:
-            return 0.0
-        a = (t - vv) ** p
-        b = (-vv) ** p if vv < 0 else 0.0
-        return ((a - b) / p) ** 2
-
-    val_neg, err_neg = integrate.quad(
-        k_sq, -np.inf, 0.0, epsrel=rel_tol, epsabs=0.0, limit=400
-    )
-    val_pos, err_pos = integrate.quad(
-        k_sq, 0.0, t, epsrel=rel_tol, epsabs=0.0, limit=400
-    )
-    value = val_neg + val_pos
-    error = err_neg + err_pos
-    if error > 50.0 * rel_tol * abs(value):
-        raise QuadratureError(
-            f"adaptive quadrature for the order-1 norm reported error {error:.3e} "
-            f"against value {value:.6e}, exceeding the {rel_tol:.1e} target"
-        )
-    return QuadResult(value, error)
-
-
 @lru_cache(maxsize=256)
 def _constants(spec: HermiteSpec) -> KernelConstants:
     """(C, D, ||K_1||) from ||K_1||^2 = B(1+gamma, -1-2gamma)^k / (H(2H-1)).
@@ -328,10 +290,16 @@ def _constants(spec: HermiteSpec) -> KernelConstants:
     ||K_1||^2 is not a finite double (large k, or H very close to 1).  A
     finite ||K_1||^2 implies k < 144, because B(a, b) > 1/b = k/(2(1-H)) > k,
     so sqrt(k!) below never overflows.
+
+    B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) needs no sign handling: every
+    admissible spec has a = 1 + gamma in (0, 1/2) and b = 2(1-H)/k in
+    (0, 1/k), so all three gammas are of positive arguments below 1.
     """
     h, k, g = spec.hurst, spec.order, spec.gamma
+    a, b = 1.0 + g, -1.0 - 2.0 * g
     try:
-        norm_sq = float(_beta(1.0 + g, -1.0 - 2.0 * g)) ** k / (h * (2.0 * h - 1.0))
+        beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        norm_sq = beta**k / (h * (2.0 * h - 1.0))
     except OverflowError:
         norm_sq = math.inf
     if not math.isfinite(norm_sq):

@@ -53,7 +53,7 @@ class BasicRate:
         if self.kind == "table":
             times, values = self.parameters
             t = np.asarray(times, dtype=float)
-            if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+            if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
                 raise ValueError("table times must be strictly increasing, length >= 2")
             if len(values) != t.size:
                 raise ValueError("table times and values must have equal length")

@@ -24,10 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-# unused here: perfbench's tracer wraps these names as pricing.spline_build
-# and pricing.rate_inversion
-from scipy.interpolate import CubicSpline  # noqa: F401
-from scipy.optimize import brentq  # noqa: F401
 
 from .kernel import d_constant
 from .market import (
@@ -40,6 +36,25 @@ from .market import (
 from .simulate import _CHUNK_POINTS, SamplePath
 
 _PAYOFF_KINDS = ("power_product", "table", "callable")
+
+
+def __getattr__(name: str):
+    """``CubicSpline`` and ``brentq``, imported from scipy on first lookup.
+
+    Nothing here calls them: perfbench's tracer looks both up (its
+    ``FOREIGN`` table) as pricing.spline_build and pricing.rate_inversion.
+    Loading them lazily keeps scipy off the import path; ROADMAP item 1
+    deletes this hook together with ``FOREIGN``.
+    """
+    if name == "CubicSpline":
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline
+    if name == "brentq":
+        from scipy.optimize import brentq
+
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

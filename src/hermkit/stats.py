@@ -201,9 +201,17 @@ def qv_scaling_exponent(
     if len(set(n_list)) < 3 or n_list[-1] < 8 * n_list[0]:
         raise ValueError("need >= 3 distinct block counts spanning a factor of 8")
     ladder = qv_ladder(spec, n_list, block, mc_paths, seed, steps_per_unit)
-    deltas = [delta.value for delta in ladder]
-    slope = np.polyfit(np.log(n_list), np.log(deltas), 1)[0]
-    return float(slope)
+    return _qv_slope_fit(n_list, [delta.value for delta in ladder])[0]
+
+
+def _qv_slope_fit(n_blocks, deltas) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of log delta^(N) against log N.
+
+    The one fit behind :func:`qv_scaling_exponent` and ``hermkit qv``; each
+    caller decides which block-count ladders it accepts.
+    """
+    slope, intercept = np.polyfit(np.log(n_blocks), np.log(deltas), 1)
+    return float(slope), float(intercept)
 
 
 def estimate_hurst(path: SamplePath, scales) -> HurstEstimate:

@@ -42,9 +42,10 @@ from hermkit import (
     stratonovich_integral,
 )
 from hermkit.cli import main as cli_main
-from hermkit.kernel import _l2_norm_sq_quad_k1
 from hermkit.pricing import SmoothField
 from hermkit.stats import centered_qv, estimate_hurst, lrd_coefficient, lrd_limit, qv_scaling_exponent
+
+from kernel_quadrature import l2_norm_sq_quad_k1
 
 
 def _c_closed_form(h: float, order: int) -> float:
@@ -81,7 +82,7 @@ def test_criterion_01_normalizing_constants(acceptance_report):
                         abs(consts.c_norm - c_exact) / c_exact)
             if order == 1:
                 # independent numeric route: adaptive quadrature of ||K_1||^2
-                quad = _l2_norm_sq_quad_k1(spec, 1.0).value
+                quad = l2_norm_sq_quad_k1(spec, 1.0).value
                 c_quad = 1.0 / math.sqrt(quad)
                 worst_quad = max(worst_quad, abs(c_quad - c_exact) / c_exact)
     ok = worst < 1e-12 and worst_quad < 1e-7 and slowest < 60.0

@@ -1,13 +1,18 @@
-"""Command-line entry points, exercised in process via ``hermkit.cli.main``."""
+"""Command-line entry points, exercised in process via ``hermkit.cli.main``
+(and in fresh interpreters where what gets imported is the point)."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from scipy.special import beta as beta_fn
 
+import hermkit
 from hermkit.cli import config_digest, load_config, main
 
 # kappa = 2, H = 0.7 cumulative-rate constant, frozen from the closed form
@@ -122,6 +127,9 @@ def test_bad_counts_and_horizon_exit_2_before_drawing(tmp_path, capsys, argv, ru
                  "kind = constant\nvalue = 0.05\n", id="nan-spot"),
     pytest.param(["price", "bond", "--T", "1"],
                  "kind = table\ntimes = 0, 2\nvalues = 0.05, nan\n", id="nan-table-rate"),
+    pytest.param(["price", "bond", "--T", "1"],
+                 "kind = table\ntimes = 0, nan, 2\nvalues = 0.05, 0.05, 0.05\n",
+                 id="nan-table-time"),
 ])
 def test_nan_market_inputs_exit_2(tmp_path, capsys, argv, riskless):
     cfg = tmp_path / "run.cfg"
@@ -350,3 +358,57 @@ def test_config_digest_ignores_output_location():
     assert a == b
     assert config_digest("kernel", {"time": 2.0}, "") != a
     assert config_digest("kernel", {"time": 1.0}, "[process]") != a
+
+
+# --- scipy stays off the import path -------------------------------------
+
+
+def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this hermkit."""
+    src = str(Path(hermkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    proc = _fresh_python(
+        "import sys, hermkit, hermkit.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# one command per subcommand, as in the cold command-line benchmark, plus an
+# order-3 kernel
+_SCIPY_FREE_COMMANDS = [
+    ["kernel", "--hurst", "0.7", "--order", "1", "--out", "out0"],
+    ["kernel", "--hurst", "0.7", "--order", "2", "--out", "out1"],
+    ["simulate", "--hurst", "0.7", "--order", "2", "--steps", "1024", "--paths", "20",
+     "--seed", "3", "--out", "out2"],
+    ["estimate", "--input", "out2/path_0.csv", "--out", "out3"],
+    ["qv", "--hurst", "0.6", "--order", "1", "--blocks", "8,16,32,64", "--paths", "200",
+     "--seed", "4", "--out", "out4"],
+    ["price", "bond", "--T", "1.0", "--config", "market.cfg", "--out", "out5"],
+    ["price", "perpetual", "--alpha", "0.4", "--config", "market.cfg", "--out", "out6"],
+    ["price", "forward", "--T", "1.5", "--config", "market.cfg", "--out", "out7"],
+    ["price", "futures", "--grid", "128", "--config", "market.cfg", "--out", "out8"],
+    ["curve", "--maturities", "0.5,1,2,5", "--config", "market.cfg", "--out", "out9"],
+    ["kernel", "--hurst", "0.6", "--order", "3", "--out", "out10"],
+]
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path, cfg_file):
+    # sys.modules['scipy'] = None makes any scipy import raise ImportError
+    proc = _fresh_python(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from hermkit.cli import main\n"
+        f"print(json.dumps([main(argv) for argv in {_SCIPY_FREE_COMMANDS!r}]))",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    failed = [" ".join(argv) for argv, code in zip(_SCIPY_FREE_COMMANDS, codes) if code]
+    assert failed == [], proc.stderr

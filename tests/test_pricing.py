@@ -632,6 +632,8 @@ def test_nan_times_are_rejected(call):
                  "bounds must be a finite", id="table-first-value"),
     pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [0.05, np.nan, 0.06]),
                  "bounds must be a finite", id="table-inner-value"),
+    pytest.param(lambda m: BasicRate.table([0.0, np.nan, 2.0], [0.05, 0.05, 0.05]),
+                 "table times must be strictly increasing", id="table-time"),
     pytest.param(lambda m: price_characteristics(Payoff.power(0.4), m, 0.0, 1.0, np.nan),
                  "price coordinates must be strictly positive", id="spot"),
     pytest.param(lambda m: power_derivative_beta([np.nan], m),
