@@ -54,7 +54,7 @@ JSON.  All randomness derives from the root seed, so reruns are
 byte-identical; wall time goes to standard error only.
 
 Exit status: 0 on success, 2 on validation/usage errors, 1 on numerical
-failures (kernel constants beyond the double range, unstable march).
+failures (for example kernel constants beyond the double range).
 """
 
 from __future__ import annotations

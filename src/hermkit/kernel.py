@@ -28,6 +28,12 @@ double range, and the constants raise OverflowError rather than return inf.
 The independent reference route for the identity, an adaptive quadrature of
 the order-1 norm, lives with the tests (``tests/kernel_quadrature.py``).
 
+Pointwise values K_t(v) take one route for every order: :func:`eval_kernel`
+substitutes s = m + e^u (m the largest coordinate), which turns the integrand
+into a function analytic in the strip |Im u| < pi, so a fixed composite
+Gauss-Legendre rule in u is exact to rounding even at near ties between
+coordinates.  Nothing in this module needs scipy.
+
 Beware that several other normalization conventions circulate for the same
 processes (for k=1 the two-sided moving-average kernel
 ``(t-v)_+^(H-1/2) - (-v)_+^(H-1/2)`` is common and differs from the kernel
@@ -99,100 +105,18 @@ class KernelConstants:
     l2_norm_at_1: float
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+# eval_kernel's fixed rule: _NODES-point Gauss-Legendre on panels at most
+# _PANEL wide in u = log(s - m), starting _TAIL below the smallest scale.
+_NODES = 16
+_PANEL = 2.0
+_TAIL = 40.0
 
 
-def _G_primitive(g: float, z: np.ndarray) -> np.ndarray:
-    """G(z) = integral_0^z y^g (1+y)^g dy for z >= 0, via Gauss 2F1.
-
-    Monotone from 0 to the beta value B(1+g, -1-2g) as z -> inf; scipy's
-    hypergeometric is machine-accurate over the whole range, so the only
-    care needed is clamping z before it overflows inside the ufunc.  Only
-    this order-2 route needs scipy, so it is imported here and nowhere on
-    the package's import path.
-    """
-    from scipy.special import hyp2f1
-
-    z = np.minimum(z, 1e300)
-    return z ** (1.0 + g) / (1.0 + g) * hyp2f1(-g, 1.0 + g, 2.0 + g, -z)
-
-
-def _pair_kernel_exact(g: float, t: float, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Exact order-2 kernel K_t(a, a - delta) with a the larger coordinate.
-
-    Reduction: with x = s - a the defining integral becomes
-    delta^(1+2g) * [G(x_hi/delta) - G(x_lo/delta)], x_hi = t - a,
-    x_lo = max(a,0) - a.  Evaluating through G keeps full accuracy down to
-    (and below) floating-point coordinate resolution, which fixed-node
-    quadrature on the raw integrand cannot do near coordinate ties; passing
-    ``delta`` explicitly keeps sub-ulp separations meaningful.  Branches:
-
-    * delta == 0, a >= 0: the integral diverges -> inf;
-    * delta == 0, a < 0:  exact antiderivative of (s-a)^(2g), written with
-      expm1/log1p so nearly cancelling powers lose nothing;
-    * a >= 0: x_lo = 0, a single G evaluation (no cancellation);
-    * a < 0, x_lo/delta < 1: difference of two G values, switching to a
-      short linear Gauss panel when the interval is narrow relative to its
-      distance from 0;
-    * a < 0, x_lo/delta >= 1: G-difference would cancel badly, so integrate
-      y^g (1+y)^g over [x_lo/delta, x_hi/delta] in log space, where the
-      integrand is analytic and a fixed Gauss rule is essentially exact.
-    """
-    a = np.asarray(a, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0):
-        raise ValueError("pair separation delta must be nonnegative")
-    q = 1.0 + 2.0 * g
-    lo = np.maximum(a, 0.0)
-    out = np.zeros_like(a)
-    act = lo < t
-    x_hi = t - a
-    x_lo = lo - a
-
-    tie = act & (delta == 0)
-    out[tie & (a >= 0)] = np.inf
-    neg_tie = tie & (a < 0)
-    if np.any(neg_tie):
-        xl = x_lo[neg_tie]
-        out[neg_tie] = xl**q * np.expm1(q * np.log1p(t / xl)) / q
-
-    pos = act & (delta > 0) & (a >= 0)
-    if np.any(pos):
-        with np.errstate(over="ignore"):
-            z = x_hi[pos] / delta[pos]
-        out[pos] = delta[pos] ** q * _G_primitive(g, z)
-
-    neg = act & (delta > 0) & (a < 0)
-    if np.any(neg):
-        xl = x_lo[neg]
-        dd = delta[neg]
-        with np.errstate(over="ignore"):
-            zl = xl / dd
-            zh = x_hi[neg] / dd
-        res = np.empty(xl.shape)
-        big = zl >= 1.0
-        narrow = ~big & (zh - zl < 1e-3 * zl)
-        plain = ~big & ~narrow
-        if np.any(plain):
-            res[plain] = _G_primitive(g, zh[plain]) - _G_primitive(g, zl[plain])
-        if np.any(narrow):
-            xg, wg = _leggauss(24)
-            half = 0.5 * t / dd[narrow]  # x_hi - x_lo = t exactly when a < 0
-            mid = zl[narrow] + half
-            y = mid[:, None] + half[:, None] * xg[None, :]
-            res[narrow] = half * ((y**g * (1.0 + y) ** g) @ wg)
-        if np.any(big):
-            xg, wg = _leggauss(128)
-            half = 0.5 * np.log1p(t / xl[big])
-            mid = (np.log(xl[big]) - np.log(dd[big])) + half
-            x = mid[:, None] + half[:, None] * xg[None, :]
-            val = np.exp((1.0 + g) * x + g * np.logaddexp(0.0, x))
-            res[big] = half * (val @ wg)
-        out[neg] = dd**q * res
-    return out
+@lru_cache(maxsize=1)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    # Built on first use: importing numpy.polynomial would add about 4 ms to
+    # every cold start of the command line, which never evaluates the kernel.
+    return np.polynomial.legendre.leggauss(_NODES)
 
 
 def _check_coords(spec: HermiteSpec, v) -> np.ndarray:
@@ -201,83 +125,77 @@ def _check_coords(spec: HermiteSpec, v) -> np.ndarray:
         raise ValueError(
             f"coordinate vector has length {arr.size}, expected {spec.order}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"coordinates must be finite; got {arr.tolist()}")
     return arr
 
 
 def eval_kernel(spec: HermiteSpec, t: float, v) -> float:
     """Evaluate K_t(v) = integral_0^t prod_j (s - v_j)_+^gamma ds.
 
-    The integrand has an integrable power singularity where s meets the
-    largest coordinate; the substitution u = (s - m)^(1+gamma) (m the largest
-    coordinate) absorbs it exactly, leaving a smooth integrand handled by
-    Gauss-Legendre panels with adaptive order doubling.
+    One route serves every order.  With m the largest coordinate and
+    delta_j = m - v_j for the others, the substitution s = m + e^u turns the
+    integrand into
+
+        exp((1 + gamma) u + gamma * sum_j logaddexp(u, log delta_j)),
+
+    which absorbs the power singularity at s = m and is analytic in the strip
+    |Im u| < pi: each logaddexp is singular only where e^u = -delta_j.  On
+    panels at most 2 wide that strip is far enough away for a fixed 16-point
+    Gauss-Legendre rule to be exact to rounding, however close the
+    coordinates lie to each other.  The u-range runs up to log(t - m) from
+    log(-m) when m < 0; when m >= 0 it starts 40 below the smallest of
+    log delta_j and log(t - m), and the part beneath has the closed form
+    prod_j delta_j^gamma * e^((1 + gamma) u) / (1 + gamma), exact at k = 1
+    and exact to rounding otherwise.
 
     The value is symmetric under permutations of ``v`` (coordinates are
     canonically sorted first, so equality is exact) and finite for
     almost-every ``v``.  When two or more coordinates tie for the maximum
     inside [0, t) the defining integral diverges and ``inf`` is returned;
     such inputs form a measure-zero set that integrating callers may ignore.
+    Raises ValueError for a negative or non-finite ``t`` or a non-finite
+    coordinate.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative; got {t}")
-    coords = _check_coords(spec, v)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite; got {t}")
     # Canonical descending order makes the result exactly permutation-invariant.
-    coords = np.sort(coords)[::-1]
+    coords = np.sort(_check_coords(spec, v))[::-1]
     g = spec.gamma
     p = 1.0 + g
     m = coords[0]
-    lo = max(m, 0.0)
-    if lo >= t:
+    if max(m, 0.0) >= t:
         return 0.0
-    if spec.order >= 2 and coords[1] == m and m >= 0:
+    delta = m - coords[1:]
+    if m >= 0 and np.any(delta == 0):
         # Tied maximum inside the integration range: the local factor
         # (s-m)^(k*gamma) has k*gamma <= 2*gamma < -1, not integrable.  A tie
         # strictly below zero is harmless because integration starts at 0.
         return math.inf
-    if spec.order == 2:
-        return float(
-            _pair_kernel_exact(g, t, np.array([m]), np.array([m - coords[1]]))[0]
-        )
-
-    u_hi = (t - m) ** p
-    u_lo = (lo - m) ** p  # zero when m >= 0
-    rest = coords[1:]
-
-    def transformed(u: np.ndarray) -> np.ndarray:
-        s = m + u ** (1.0 / p)
-        out = np.ones_like(u)
-        for vj in rest:
-            out *= (s - vj) ** g
-        return out
-
-    # Adaptive order doubling on the (smooth) transformed integrand.
-    half = 0.5 * (u_hi - u_lo)
-    mid = 0.5 * (u_hi + u_lo)
-    prev = None
-    for n in (32, 64, 128, 256, 512, 1024, 2048):
-        x, w = _leggauss(n)
-        val = half * float(w @ transformed(mid + half * x)) / p
-        if prev is not None and abs(val - prev) <= 1e-12 * max(abs(val), 1.0):
-            return val
-        prev = val
-    return prev
+    with np.errstate(divide="ignore"):  # a tie below zero has log delta = -inf
+        log_delta = np.log(delta)
+    stop = math.log(t - m)
+    if m < 0:
+        start, tail = math.log(-m), 0.0
+    else:
+        start = log_delta.min(initial=stop) - _TAIL
+        tail = math.exp(p * start + g * log_delta.sum()) / p
+    n = math.ceil((stop - start) / _PANEL)
+    width = (stop - start) / n
+    x, w = _gauss_rule()
+    u = start + width * (np.arange(n)[:, None] + 0.5 * (x + 1.0))
+    log_f = p * u + g * np.logaddexp(u[..., None], log_delta).sum(axis=-1)
+    return tail + 0.5 * width * float(np.exp(log_f).sum(axis=0) @ w)
 
 
 def eval_kernel_batch(spec: HermiteSpec, t: float, coords: np.ndarray) -> np.ndarray:
-    """K_t over the rows of ``coords`` (shape (n, order)).
-
-    Order 2 evaluates the exact hypergeometric reduction vectorised over the
-    rows; other orders evaluate each row with :func:`eval_kernel`, so every
-    row gets the same accuracy as a pointwise call.
-    """
+    """K_t over the rows of ``coords`` (shape (n, order)), one
+    :func:`eval_kernel` call per row."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != spec.order:
         raise ValueError(
             f"coords must have shape (n, {spec.order}); got {coords.shape}"
         )
-    if spec.order == 2:
-        srt = np.sort(coords, axis=1)[:, ::-1]
-        return _pair_kernel_exact(spec.gamma, t, srt[:, 0], srt[:, 0] - srt[:, 1])
     return np.array([eval_kernel(spec, t, row) for row in coords])
 
 
@@ -352,12 +270,17 @@ def covariance(spec: HermiteSpec, s, t):
     """Covariance (t^(2H) + s^(2H) - |t-s|^(2H)) / 2 of the unit-variance motion.
 
     Accepts scalars or arrays (broadcasting); symmetric in (s, t), equals
-    t^(2H) on the diagonal and 0 whenever either argument is 0.
+    t^(2H) on the diagonal and 0 whenever either argument is 0.  Raises
+    ValueError on a negative or non-finite time.
     """
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(s_arr < 0) or np.any(t_arr < 0):
-        raise ValueError("covariance requires nonnegative times")
+    for name, arr in (("s", s_arr), ("t", t_arr)):
+        bad = arr[~((arr >= 0) & (arr < np.inf))]
+        if bad.size:
+            raise ValueError(
+                f"covariance requires nonnegative finite times; got {name}={bad[0]}"
+            )
     h2 = 2.0 * spec.hurst
     out = 0.5 * (t_arr**h2 + s_arr**h2 - np.abs(t_arr - s_arr) ** h2)
     if np.isscalar(s) and np.isscalar(t):

@@ -354,11 +354,10 @@ def solve_market_price_of_risk(market: MarketSpec, t: float, v) -> np.ndarray:
 
     The right-hand side uses the basic (not fractional) rates; the kernel
     factor is common to every equation.  Raises on a singular volatility
-    matrix, naming the offending time.
+    matrix, naming the offending time, and (through :func:`eval_kernel`) on
+    a negative or non-finite time or a non-finite coordinate.
     """
-    if t < 0:
-        raise ValueError("evaluation time must be nonnegative")
-    k_val = 0.0 if t == 0 else eval_kernel(market.spec, t, v)
+    k_val = eval_kernel(market.spec, t, v)
     rhs = np.array(
         [(mu(t) - market.riskless(t)) * k_val for mu in market.drifts], dtype=float
     )

@@ -373,8 +373,13 @@ def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_scipy(tmp_path):
+    # an order-2 kernel evaluation, pointwise and batched, imports no scipy either
     proc = _fresh_python(
         "import sys, hermkit, hermkit.cli\n"
+        "from hermkit.kernel import eval_kernel_batch\n"
+        "spec = hermkit.HermiteSpec(0.7, 2)\n"
+        "hermkit.eval_kernel(spec, 1.0, [0.3, -0.6])\n"
+        "eval_kernel_batch(spec, 1.0, [[0.3, -0.6], [0.4, 0.4 - 1e-9]])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -7,11 +7,14 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from hermkit import (
+    BasicRate,
     HermiteSpec,
+    MarketSpec,
     covariance,
     eval_kernel,
     kernel_l2_norm_sq,
     normalizing_constant,
+    solve_market_price_of_risk,
 )
 from hermkit.kernel import d_constant, eval_kernel_batch
 
@@ -165,16 +168,77 @@ def test_eval_kernel_tied_maximum_diverges():
     assert math.isfinite(eval_kernel(spec, 1.0, [-0.4, -0.4]))
 
 
+# (hurst, t, v, K_t(v)): 30-digit references; see the test's docstring
+KERNEL_REFERENCE = [
+    (0.505, 1.0, (0.3,), "199.643642909621428740672901712"),
+    (0.99, 1.0, (-0.4,), "1.10400848747865103953457043436"),
+    (0.7, 2.5, (1.1,), "5.34805187862534538215283565139"),
+    (0.505, 1.0, (0.3, -0.6), "3.57484982712606467405580644290"),
+    (0.7, 1.0, (0.4, 0.399999999), "2752.86199762488238592244546139"),
+    (0.9, 1.0, (-0.2, -0.2), "1.92685898526106313097767360810"),
+    (0.99, 1.0, (0.0, -1e-14), "39.9769256950215359309420714765"),
+    (0.7, 1.0, (-1e-12, -0.5), "3.64328750967149024393546592739"),
+    (0.505, 1.0, (0.37, -0.21, 0.05), "5.76664055662817099752821902496"),
+    (0.7, 1.0, (-1e-30, -1e-30, -0.5), "7578573.79293751504433331602092"),
+    (0.9, 1.0, (0.0, -1e-14, -0.5), "182.244489326617438917335892009"),
+    (0.9, 1.0, (-1e-12, -2e-12, -3e-12), "18031967.9080038879539744782772"),
+    (0.99, 1.0, (0.5, 0.4999, -0.3), "11.2213866526219660703265082410"),
+    (0.505, 1.0, (0.2, -0.1, -0.5, -1.5), "3.08838936356222643782403384586"),
+    (0.7, 1.0, (0.4, 0.39999999999999003, -0.3, -0.6), "1284.02499149648332128407371268"),
+    (0.9, 1.0, (-0.3, -0.300000001, -0.8, -1.2), "1.13653450626280981117835133029"),
+    (0.99, 2.0, (1.5, 0.0, -0.0001, -0.7), "0.559477287319785739822831628934"),
+    (0.505, 1.0, (-1e-30, -0.1, -0.2, -0.3, -2.0), "14.0458921818326938508229701878"),
+    (0.7, 1.0, (0.3, 0.1, -0.2, -0.5, -0.9), "4.11329791181535937822685337379"),
+    (0.9, 1.0, (0.6, 0.59999999999999, 0.59999999999998, -0.1, -0.7), "177967062.781558314449751274769"),
+    (0.99, 1.0, (0.2, 0.199999999, 0.1, -0.3, -0.9), "90.4331389582028465823544165108"),
+    (0.9, 1.0, (0.0, -1e-09, -1e-09, -0.5, -0.5), "675500.086790971074118401002399"),
+    (0.7, 0.5, (-0.25, -0.25, -0.25, -0.25, -0.5), "4.31877576257646639819949899867"),
+    (0.99, 1.0, (-1e-12, -1.00000000000001e-12, -0.4), "46.9550987198670461268248639422"),
+]
+
+
+@pytest.mark.parametrize(
+    "hurst,t,v,expected",
+    KERNEL_REFERENCE,
+    ids=[f"H{h}-k{len(v)}-row{i}" for i, (h, _, v, _) in enumerate(KERNEL_REFERENCE)],
+)
+def test_eval_kernel_matches_frozen_reference(hurst, t, v, expected):
+    """Frozen mpmath values (30 digits, mp.dps = 40), independent of the
+    u = log(s - m) route under test.
+
+    With m the largest coordinate and delta_j = m - v_j, the substitution
+    w = (s - m)^(1+gamma) absorbs the power singularity at s = m and leaves
+    the integrand prod_{j>=2} (w^(1/(1+gamma)) + delta_j)^gamma / (1+gamma)
+    over [(max(m,0) - m)^(1+gamma), (t - m)^(1+gamma)].  mpmath.quad
+    (tanh-sinh) integrated it with breakpoints at (c * 4^i)^(1+gamma),
+    i = -8..8, for c each positive delta_j and |m|, graded towards the
+    scales where the integrand bends.  Every order >= 2 value agreed with a
+    second quadrature of prod_j (x + delta_j)^gamma in x = s - m, graded the
+    same way, and every order-1 value with the closed form.  The rows cover
+    coordinate ties and near ties (down to 1e-26 apart) above, at and below
+    zero, where fixed rules on the raw integrand fail.
+    """
+    spec = HermiteSpec(hurst, len(v))
+    assert eval_kernel(spec, t, v) == pytest.approx(float(expected), rel=1e-13)
+
+
 def test_eval_kernel_self_similar_scaling():
-    # K_{ct}(c v) = c^(H - k/2) K_t(v)
-    for spec in (HermiteSpec(0.7, 1), HermiteSpec(0.7, 2), HermiteSpec(0.6, 3)):
-        v = np.array([0.37, -0.21, 0.05][: spec.order])
-        c = 1.7
+    # K_{ct}(c v) = c^(H - k/2) K_t(v); power-of-two c keeps c * v exact
+    cases = [
+        (HermiteSpec(0.7, 1), [0.37]),
+        (HermiteSpec(0.7, 2), [0.37, -0.21]),
+        (HermiteSpec(0.6, 3), [0.37, -0.21, 0.05]),
+        (HermiteSpec(0.9, 4), [0.37, -0.21, 0.05, -0.6]),
+        (HermiteSpec(0.99, 5), [0.37, -0.21, 0.05, -0.6, -1.3]),
+        (HermiteSpec(0.7, 3), [0.4, 0.4 - 1e-9, -0.3]),
+    ]
+    for spec, v in cases:
         base = eval_kernel(spec, 1.0, v)
-        scaled = eval_kernel(spec, c, c * v)
-        assert scaled == pytest.approx(
-            c ** (spec.hurst - spec.order / 2) * base, rel=1e-8
-        )
+        for c in (0.25, 2.0):
+            scaled = eval_kernel(spec, c, c * np.array(v))
+            assert scaled == pytest.approx(
+                c ** (spec.hurst - spec.order / 2) * base, rel=1e-13
+            )
 
 
 def test_eval_kernel_coordinate_count():
@@ -188,14 +252,45 @@ def test_eval_kernel_coordinate_count():
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_eval_kernel_batch_matches_pointwise(order, hurst):
     spec = HermiteSpec(hurst, order)
-    rows = np.random.default_rng(11 + order).uniform(-2.0, 0.9, size=(200, order))
-    if order == 3:
-        # near tie: a fixed Gauss rule misses the steep factor (s - v_2)^gamma
-        rows = np.vstack([rows, [0.5, 0.5 - 1e-9, -0.3]])
+    rows = np.random.default_rng(11 + order).uniform(-2.0, 0.9, size=(4, order))
     batch = eval_kernel_batch(spec, 1.0, rows)
-    single = np.array([eval_kernel(spec, 1.0, row) for row in rows])
-    assert np.all(single > 0.0)
-    np.testing.assert_allclose(batch, single, rtol=1e-9, atol=0.0)
+    assert batch.shape == (4,)
+    np.testing.assert_array_equal(batch, [eval_kernel(spec, 1.0, row) for row in rows])
+    with pytest.raises(ValueError, match="shape"):
+        eval_kernel_batch(spec, 1.0, rows[:, :-1])
+
+
+_MARKET = MarketSpec(
+    spec=HermiteSpec(0.7, 2),
+    riskless=BasicRate.constant(0.05),
+    drifts=(BasicRate.constant(0.08),),
+    volatility=np.array([[0.2]]),
+    initial_prices=(1.0,),
+)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: eval_kernel(HermiteSpec(0.7, 2), math.nan, [0.1, -0.2]), "nan"),
+        (lambda: eval_kernel(HermiteSpec(0.7, 2), 1.0, [math.nan, -0.2]), "nan"),
+        (lambda: eval_kernel(HermiteSpec(0.7, 3), math.nan, [0.1, -0.2, 0.0]), "nan"),
+        (lambda: eval_kernel(HermiteSpec(0.7, 3), 1.0, [0.1, math.nan, 0.0]), "nan"),
+        (lambda: eval_kernel(HermiteSpec(0.7, 2), math.inf, [0.1, -0.2]), "inf"),
+        (lambda: eval_kernel(HermiteSpec(0.7, 3), math.inf, [0.1, -0.2, 0.0]), "inf"),
+        (lambda: eval_kernel_batch(HermiteSpec(0.7, 2), 1.0, [[0.1, -0.2], [math.inf, 0.0]]),
+         "inf"),
+        (lambda: solve_market_price_of_risk(_MARKET, math.nan, [0.1, -0.2]), "nan"),
+        (lambda: solve_market_price_of_risk(_MARKET, 1.0, [0.1, math.nan]), "nan"),
+        (lambda: covariance(HermiteSpec(0.7, 2), math.nan, 1.0), "s=nan"),
+        (lambda: covariance(HermiteSpec(0.7, 2), 1.0, np.array([0.5, math.inf])), "t=inf"),
+    ],
+    ids=["t-nan-k2", "v-nan-k2", "t-nan-k3", "v-nan-k3", "t-inf-k2", "t-inf-k3",
+         "batch-v-inf", "risk-t-nan", "risk-v-nan", "cov-s-nan", "cov-t-inf"],
+)
+def test_non_finite_kernel_inputs_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_covariance_basics():

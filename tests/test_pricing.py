@@ -191,6 +191,25 @@ def test_price_fd_matches_characteristics_on_smooth_payoff():
     assert 1.5 < errors[0] / errors[1] < 2.6
 
 
+def test_price_fd_keeps_the_requested_steps_beyond_unit_courant():
+    # per-step advection 0.31 to 0.71 against dy = 0.022 (Courant numbers up
+    # to 32): each row is a discounted convex combination of the one before,
+    # so no step needs halving
+    m = _market(r=0.3, delta=0.01)
+    grid = PricingGrid(0.5, 2.0, 64, 4, t_start=0.0, t_end=1.0)
+    bump = Payoff.from_callable(
+        lambda x: np.exp(-0.5 * (np.log(x) - 0.1) ** 2 / 0.36)
+    )
+    call = Payoff.from_callable(lambda x: np.maximum(x - 1.0, 0.0))
+    for payoff in (bump, call):
+        field = price_fd(payoff, m, grid)
+        assert field.times.size == 5
+        exact = np.array(
+            [price_characteristics(payoff, m, 0.0, 1.0, x) for x in field.prices]
+        )
+        assert np.max(np.abs(field.values[0] - exact)) < 1e-4
+
+
 def test_price_fd_rejects_multi_asset_and_degenerate_window():
     m = MarketSpec(
         spec=SPEC,
