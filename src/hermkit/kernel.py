@@ -28,11 +28,8 @@ double range, and the constants raise OverflowError rather than return inf.
 The independent reference route for the identity, an adaptive quadrature of
 the order-1 norm, lives with the tests (``tests/kernel_quadrature.py``).
 
-Pointwise values K_t(v) take one route for every order: :func:`eval_kernel`
-substitutes s = m + e^u (m the largest coordinate), which turns the integrand
-into a function analytic in the strip |Im u| < pi, so a fixed composite
-Gauss-Legendre rule in u is exact to rounding even at near ties between
-coordinates.  Nothing in this module needs scipy.
+Pointwise values K_t(v) take one route for every order, described at
+:func:`eval_kernel`.  Nothing in this module needs scipy.
 
 Beware that several other normalization conventions circulate for the same
 processes (for k=1 the two-sided moving-average kernel
@@ -114,8 +111,9 @@ _TAIL = 40.0
 
 @lru_cache(maxsize=1)
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    # Built on first use: importing numpy.polynomial would add about 4 ms to
-    # every cold start of the command line, which never evaluates the kernel.
+    # Built on first use: importing numpy.polynomial takes about 4 ms
+    # (python -X importtime), paid by every cold start of the command line,
+    # which never evaluates the kernel.
     return np.polynomial.legendre.leggauss(_NODES)
 
 
@@ -144,7 +142,8 @@ def eval_kernel(spec: HermiteSpec, t: float, v) -> float:
     panels at most 2 wide that strip is far enough away for a fixed 16-point
     Gauss-Legendre rule to be exact to rounding, however close the
     coordinates lie to each other.  The u-range runs up to log(t - m) from
-    log(-m) when m < 0; when m >= 0 it starts 40 below the smallest of
+    log(-m) when m < 0 (its length log1p(t / -m) stays exact for t far
+    below -m); when m >= 0 it starts 40 below the smallest of
     log delta_j and log(t - m), and the part beneath has the closed form
     prod_j delta_j^gamma * e^((1 + gamma) u) / (1 + gamma), exact at k = 1
     and exact to rounding otherwise.
@@ -174,14 +173,22 @@ def eval_kernel(spec: HermiteSpec, t: float, v) -> float:
         return math.inf
     with np.errstate(divide="ignore"):  # a tie below zero has log delta = -inf
         log_delta = np.log(delta)
-    stop = math.log(t - m)
     if m < 0:
+        # The span log((t - m) / -m) without forming t - m, which cancels for
+        # t far below -m (down to an empty span) and may overflow; t / -m
+        # may overflow too, so above -m the span is split at log(t).
         start, tail = math.log(-m), 0.0
+        if t < -m:
+            span = math.log1p(t / -m)
+        else:
+            span = math.log(t) - start + math.log1p(-m / t)
     else:
+        stop = math.log(t - m)
         start = log_delta.min(initial=stop) - _TAIL
+        span = stop - start
         tail = math.exp(p * start + g * log_delta.sum()) / p
-    n = math.ceil((stop - start) / _PANEL)
-    width = (stop - start) / n
+    n = max(1, math.ceil(span / _PANEL))
+    width = span / n
     x, w = _gauss_rule()
     u = start + width * (np.arange(n)[:, None] + 0.5 * (x + 1.0))
     log_f = p * u + g * np.logaddexp(u[..., None], log_delta).sum(axis=-1)

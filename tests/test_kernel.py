@@ -194,6 +194,12 @@ KERNEL_REFERENCE = [
     (0.9, 1.0, (0.0, -1e-09, -1e-09, -0.5, -0.5), "675500.086790971074118401002399"),
     (0.7, 0.5, (-0.25, -0.25, -0.25, -0.25, -0.5), "4.31877576257646639819949899867"),
     (0.99, 1.0, (-1e-12, -1.00000000000001e-12, -0.4), "46.9550987198670461268248639422"),
+    (0.7, 1e-08, (-1.0, -2.0), "6.37280310552889565014015443951e-9"),
+    (0.7, 1e-08, (-1.0, -2.0, -3.0), "3.41278749969503423829056333417e-9"),
+    (0.9, 1e-08, (-1.0, -1.000000001, -2.0), "6.90956435009001698910217327542e-9"),
+    (0.7, 1e-17, (-1.0,), "1.00000000000000006754242405462e-17"),
+    (0.7, 1.0, (-5e-324,), "5.00000000000000111022302462516"),
+    (0.7, 1e308, (-1e308,), "2.95989406869136152072067070673e61"),
 ]
 
 
@@ -216,10 +222,13 @@ def test_eval_kernel_matches_frozen_reference(hurst, t, v, expected):
     second quadrature of prod_j (x + delta_j)^gamma in x = s - m, graded the
     same way, and every order-1 value with the closed form.  The rows cover
     coordinate ties and near ties (down to 1e-26 apart) above, at and below
-    zero, where fixed rules on the raw integrand fail.
+    zero, where fixed rules on the raw integrand fail.  The last six rows
+    (references at mp.dps = 60) have every coordinate negative, with t far
+    below |m|, where t - m cancels, m subnormal, where t / -m overflows, or
+    t and -m near the top of the double range, where t - m overflows.
     """
     spec = HermiteSpec(hurst, len(v))
-    assert eval_kernel(spec, t, v) == pytest.approx(float(expected), rel=1e-13)
+    assert eval_kernel(spec, t, v) == pytest.approx(float(expected), rel=1e-13, abs=0)
 
 
 def test_eval_kernel_self_similar_scaling():
@@ -237,7 +246,7 @@ def test_eval_kernel_self_similar_scaling():
         for c in (0.25, 2.0):
             scaled = eval_kernel(spec, c, c * np.array(v))
             assert scaled == pytest.approx(
-                c ** (spec.hurst - spec.order / 2) * base, rel=1e-13
+                c ** (spec.hurst - spec.order / 2) * base, rel=1e-13, abs=0
             )
 
 
