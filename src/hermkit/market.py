@@ -15,13 +15,14 @@ sigma(t) z(v) = (mu(t) - r(t)) K_t(v) coordinate-vector by coordinate-vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernel import HermiteSpec, d_constant, eval_kernel
-from .simulate import SamplePath, StratonovichConfig
+from .simulate import SamplePath, StratonovichConfig, _riemann_sites
 
 _RATE_KINDS = ("constant", "polynomial", "table")
 
@@ -31,25 +32,23 @@ class BasicRate:
     """Continuous bounded rate function of one of three kinds.
 
     ``constant``: parameters = (value,).
-    ``polynomial``: parameters = coefficients, low order first.
+    ``polynomial``: parameters = coefficients, low order first, on the
+    working horizon [0, ``horizon``] (the one kind that takes a horizon).
     ``table``: parameters = (times, values), linearly interpolated and
     clamped outside the tabulated range.
 
-    ``bounds`` is the declared (lower, upper) envelope of the rate on the
-    working horizon; a riskless rate must have a strictly positive lower
-    bound (the rate stays bounded away from zero).
+    Parameters must be finite.  :attr:`bounds` is derived from them; a
+    riskless rate must have a strictly positive lower bound (the rate stays
+    bounded away from zero).
     """
 
     kind: str
     parameters: tuple
-    bounds: tuple[float, float]
+    horizon: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _RATE_KINDS:
             raise ValueError(f"kind must be one of {_RATE_KINDS}; got {self.kind!r}")
-        lo, hi = self.bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError(f"bounds must be a finite (lower, upper) pair; got {self.bounds}")
         if self.kind == "table":
             times, values = self.parameters
             t = np.asarray(times, dtype=float)
@@ -57,26 +56,50 @@ class BasicRate:
                 raise ValueError("table times must be strictly increasing, length >= 2")
             if len(values) != t.size:
                 raise ValueError("table times and values must have equal length")
+        values = np.asarray(self.parameters, dtype=float)
+        if values.size == 0 or not np.all(np.isfinite(values)):
+            raise ValueError(f"{self.kind} rate parameters must be finite and nonempty; "
+                             f"got {self.parameters}")
+        if (self.horizon is None) == (self.kind == "polynomial"):
+            raise ValueError("a polynomial rate needs a horizon, and no other kind "
+                             f"takes one; got {self.kind} with horizon {self.horizon}")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ValueError(f"polynomial horizon must be positive and finite; "
+                             f"got {self.horizon}")
 
     @classmethod
     def constant(cls, value: float) -> "BasicRate":
-        v = float(value)
-        return cls(kind="constant", parameters=(v,), bounds=(v, v))
+        return cls(kind="constant", parameters=(float(value),))
 
     @classmethod
     def polynomial(cls, coefficients: Sequence[float], horizon: float = 10.0) -> "BasicRate":
-        """Polynomial rate with bounds sampled on [0, horizon]."""
-        coeffs = tuple(float(c) for c in coefficients)
-        grid = np.linspace(0.0, float(horizon), 4097)
-        vals = np.polynomial.polynomial.polyval(grid, coeffs)
-        return cls(kind="polynomial", parameters=coeffs,
-                   bounds=(float(vals.min()), float(vals.max())))
+        """Polynomial rate on the working horizon [0, horizon]."""
+        return cls(kind="polynomial", parameters=tuple(float(c) for c in coefficients),
+                   horizon=float(horizon))
 
     @classmethod
     def table(cls, times: Sequence[float], values: Sequence[float]) -> "BasicRate":
-        vals = tuple(float(v) for v in values)
-        return cls(kind="table", parameters=(tuple(float(t) for t in times), vals),
-                   bounds=(float(np.min(vals)), float(np.max(vals))))
+        return cls(kind="table", parameters=(tuple(float(t) for t in times),
+                                             tuple(float(v) for v in values)))
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """Exact (lower, upper) range of the rate: its value for a constant,
+        the extreme node values for a table, and for a polynomial the
+        extremes over [0, horizon], which lie at the ends or at real roots
+        of the derivative (every root's real part inside (0, horizon) is
+        evaluated, so none is missed)."""
+        if self.kind == "constant":
+            value = float(self.parameters[0])
+            return value, value
+        if self.kind == "table":
+            values = self.parameters[1]
+            return float(min(values)), float(max(values))
+        poly = np.polynomial.polynomial
+        crit = poly.polyroots(poly.polyder(self.parameters)).real
+        vals = self(np.concatenate(([0.0, self.horizon],
+                                    crit[(crit > 0.0) & (crit < self.horizon)])))
+        return float(vals.min()), float(vals.max())
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -171,7 +194,7 @@ class AssetPath:
 
     def at(self, u: float) -> float:
         """Price at time u, linearly interpolated; u must lie on the grid span."""
-        if u < self.times[0] or u > self.times[-1]:
+        if not self.times[0] <= u <= self.times[-1]:
             raise ValueError(f"time {u} outside the path span "
                              f"[{self.times[0]}, {self.times[-1]}]")
         return float(np.interp(u, self.times, self.prices))
@@ -249,15 +272,6 @@ class MarketSpec:
         return (1.0 - w) * self.volatility[idx - 1] + w * self.volatility[idx]
 
 
-@dataclass(frozen=True)
-class RiskPrice:
-    """Market price of risk: a map from coordinate vectors to d-vectors,
-    solved at a fixed evaluation time."""
-
-    z: Callable[[Sequence[float]], np.ndarray]
-    evaluation_time: float
-
-
 def _shared_grid(drivers: Sequence[SamplePath]) -> np.ndarray:
     times = drivers[0].times
     for p in drivers[1:]:
@@ -274,6 +288,22 @@ def riskless_path(market: MarketSpec, times) -> AssetPath:
                      label="riskless")
 
 
+def _asset_paths(market: MarketSpec, times: np.ndarray, driven: np.ndarray) -> list[AssetPath]:
+    """S_j(t) = S_j(0) exp(mu_j^cum(t) - delta_j^cum(t) + driven[j]) on ``times``."""
+    spec = market.spec
+    out = []
+    for j, (s0, mu, delta, x_j) in enumerate(
+            zip(market.initial_prices, market.drifts, market.dividends, driven)):
+        log_s = (
+            math.log(s0)
+            + cumulative_rate(spec, mu, times)
+            - cumulative_rate(spec, delta, times)
+            + x_j
+        )
+        out.append(AssetPath(times=times, prices=np.exp(log_s), label=f"asset_{j + 1}"))
+    return out
+
+
 def stock_paths(market: MarketSpec, drivers: Sequence[SamplePath]) -> list[AssetPath]:
     """Risky asset paths from the explicit exponential representation.
 
@@ -287,17 +317,7 @@ def stock_paths(market: MarketSpec, drivers: Sequence[SamplePath]) -> list[Asset
     if len(drivers) != market.d:
         raise ValueError(f"need {market.d} driver paths; got {len(drivers)}")
     times = _shared_grid(drivers)
-    driven = np.stack([p.values for p in drivers])
-    out = []
-    for j in range(market.d):
-        log_s = (
-            math.log(market.initial_prices[j])
-            + cumulative_rate(market.spec, market.drifts[j], times)
-            - cumulative_rate(market.spec, market.dividends[j], times)
-            + market.volatility[j] @ driven
-        )
-        out.append(AssetPath(times=times, prices=np.exp(log_s), label=f"asset_{j + 1}"))
-    return out
+    return _asset_paths(market, times, market.volatility @ np.stack([p.values for p in drivers]))
 
 
 def stock_paths_sde(
@@ -310,28 +330,20 @@ def stock_paths_sde(
     d log S_j = (mu_j^H - delta_j^H) dt + sum_m sigma_jm(t) o dH_m; the rate
     part integrates exactly to cumulative-rate differences, the stochastic
     part accumulates Riemann-Stratonovich sums with the volatility read at
-    the configured evaluation point.  For constant volatility the sums
-    telescope and the result matches :func:`stock_paths` to rounding.
+    the configured evaluation point on every interval of the drivers' grid
+    (the paths live on that grid, so ``config.refinement`` does not apply).
+    For constant volatility the sums telescope and the result matches
+    :func:`stock_paths` to rounding.
     """
     if len(drivers) != market.d:
         raise ValueError(f"need {market.d} driver paths; got {len(drivers)}")
-    cfg = config or StratonovichConfig(evaluation_point=0.5)
+    cfg = replace(config or StratonovichConfig(), refinement=None)
     times = _shared_grid(drivers)
-    sites = (1.0 - cfg.evaluation_point) * times[:-1] + cfg.evaluation_point * times[1:]
+    sites, dx = _riemann_sites(times, np.stack([p.values for p in drivers]), cfg)
     sig = np.stack([market.sigma(float(s)) for s in sites])  # (n, d, d)
-    out = []
-    for j in range(market.d):
-        stoch = np.zeros_like(times)
-        for m in range(market.d):
-            stoch[1:] += np.cumsum(sig[:, j, m] * np.diff(drivers[m].values))
-        log_s = (
-            math.log(market.initial_prices[j])
-            + cumulative_rate(market.spec, market.drifts[j], times)
-            - cumulative_rate(market.spec, market.dividends[j], times)
-            + stoch
-        )
-        out.append(AssetPath(times=times, prices=np.exp(log_s), label=f"asset_{j + 1}"))
-    return out
+    stoch = np.zeros((market.d, times.size))
+    np.cumsum(np.einsum("kjm,mk->jk", sig, dx), axis=1, out=stoch[:, 1:])
+    return _asset_paths(market, times, stoch)
 
 
 def deflate(asset_paths, market: MarketSpec):
@@ -371,11 +383,12 @@ def solve_market_price_of_risk(market: MarketSpec, t: float, v) -> np.ndarray:
     return z
 
 
-def market_price_of_risk(market: MarketSpec, t: float) -> RiskPrice:
+def market_price_of_risk(
+    market: MarketSpec, t: float
+) -> Callable[[Sequence[float]], np.ndarray]:
     """The market price of risk at time t as a callable over coordinate
     vectors (see :func:`solve_market_price_of_risk`)."""
-    return RiskPrice(z=lambda v: solve_market_price_of_risk(market, t, v),
-                     evaluation_time=t)
+    return partial(solve_market_price_of_risk, market, t)
 
 
 def risk_price_consistency(market: MarketSpec, v, times) -> float:

@@ -35,9 +35,6 @@ from .market import (
 )
 from .simulate import _CHUNK_POINTS, SamplePath
 
-_PAYOFF_KINDS = ("power_product", "table", "callable")
-
-
 def __getattr__(name: str):
     """``CubicSpline`` and ``brentq``, imported from scipy on first lookup.
 
@@ -59,59 +56,46 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class Payoff:
-    """Payoff over positive price vectors.
+    """Payoff over positive price vectors: one vectorised function ``fn``,
+    built by :meth:`power`, :meth:`from_table` or :meth:`from_callable`."""
 
-    ``power_product``: prod_j x_j^alpha_j with ``exponents`` = alpha.
-    ``table``: 1-d linear interpolation of (nodes, node_values).
-    ``callable``: arbitrary vectorised function ``fn``.
-    """
-
-    kind: str
-    exponents: tuple | None = None
-    fn: Callable | None = None
-    nodes: tuple | None = None
-    node_values: tuple | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PAYOFF_KINDS:
-            raise ValueError(f"kind must be one of {_PAYOFF_KINDS}; got {self.kind!r}")
-        if self.kind == "power_product" and not self.exponents:
-            raise ValueError("power_product payoff needs exponents")
-        if self.kind == "power_product" and not np.all(np.isfinite(self.exponents)):
-            raise ValueError(f"power exponents must be finite; got {list(self.exponents)}")
-        if self.kind == "callable" and self.fn is None:
-            raise ValueError("callable payoff needs fn")
-        if self.kind == "table" and (self.nodes is None or self.node_values is None):
-            raise ValueError("table payoff needs nodes and node_values")
+    fn: Callable
 
     @classmethod
     def power(cls, exponents) -> "Payoff":
-        exps = tuple(float(a) for a in np.atleast_1d(exponents))
-        return cls(kind="power_product", exponents=exps)
+        """prod_j x_j^alpha_j over the trailing (asset) axis when more than
+        one exponent is given, else x^alpha elementwise."""
+        a = np.array([float(e) for e in np.atleast_1d(exponents)])
+        if a.size == 0:
+            raise ValueError("power payoff needs at least one exponent")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"power exponents must be finite; got {a.tolist()}")
+        if a.size == 1:
+            return cls(lambda x: x ** a[0])
+        return cls(lambda x: np.prod(x ** a, axis=-1))
 
     @classmethod
     def from_callable(cls, fn: Callable) -> "Payoff":
-        return cls(kind="callable", fn=fn)
+        if not callable(fn):
+            raise ValueError(f"payoff fn must be callable; got {fn!r}")
+        return cls(fn)
 
     @classmethod
     def from_table(cls, nodes, values) -> "Payoff":
-        return cls(kind="table", nodes=tuple(float(x) for x in nodes),
-                   node_values=tuple(float(v) for v in values))
+        """1-d linear interpolation of (nodes, values), clamped beyond the
+        nodes, which must be finite and strictly increasing."""
+        xs = np.array([float(x) for x in nodes])
+        ys = np.array([float(v) for v in values])
+        if xs.size < 1 or not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+            raise ValueError("payoff table nodes must be finite and strictly increasing; "
+                             f"got {xs.tolist()}")
+        if ys.shape != xs.shape or not np.all(np.isfinite(ys)):
+            raise ValueError(f"payoff table needs one finite value per node; got {ys.tolist()}")
+        return cls(lambda x: np.interp(x, xs, ys))
 
     def __call__(self, x):
-        """Evaluate at price vector(s); the trailing axis is the asset axis
-        when more than one exponent is declared, else elementwise."""
-        x_arr = np.asarray(x, dtype=float)
-        if self.kind == "power_product":
-            a = np.asarray(self.exponents)
-            if a.size == 1:
-                out = x_arr ** a[0]
-            else:
-                out = np.prod(x_arr ** a, axis=-1)
-        elif self.kind == "table":
-            out = np.interp(x_arr, self.nodes, self.node_values)
-        else:
-            out = np.asarray(self.fn(x_arr), dtype=float)
+        """Evaluate at price vector(s)."""
+        out = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         return float(out) if out.ndim == 0 else out
 
 
@@ -349,20 +333,8 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
         raise ValueError(f"alpha has {a.size} entries; need {market.d}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"alpha must be finite; got {a.tolist()}")
-    if market.riskless.bounds[0] <= 0.0:
-        raise ValueError("degenerate riskless rate: cumulative rate vanishes")
     spec = market.spec
     base = 1.0 - float(a.sum())
-
-    all_constant = market.riskless.kind == "constant" and all(
-        dv.kind == "constant" for dv in market.dividends
-    )
-    if all_constant:
-        r0 = market.riskless.parameters[0]
-        const = base + sum(
-            float(ai) * dv.parameters[0] / r0 for ai, dv in zip(a, market.dividends)
-        )
-        return PowerBeta(beta=lambda t: const, constant=const)
 
     def beta(t: float) -> float:
         if t == 0.0:
@@ -376,6 +348,11 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
             for ai, dv in zip(a, market.dividends)
         )
 
+    if market.riskless.kind == "constant" and all(
+        dv.kind == "constant" for dv in market.dividends
+    ):
+        const = beta(0.0)
+        return PowerBeta(beta=lambda t: const, constant=const)
     return PowerBeta(beta=beta, constant=None)
 
 

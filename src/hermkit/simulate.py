@@ -72,13 +72,14 @@ class StratonovichConfig:
     """Where in each subinterval the integrand is read, and how finely.
 
     ``evaluation_point`` is the delta in [0, 1] of the sampling site
-    (1-delta)*t_k + delta*t_{k+1}; the limit does not depend on it for
-    Hurst > 1/2, which the integrator's callers verify by refinement.
+    (1-delta)*t_k + delta*t_{k+1}, the midpoint by default; the limit does
+    not depend on it for Hurst > 1/2, which the integrator's callers verify
+    by refinement.
     ``refinement`` is the number of subintervals actually used; it must
     divide the driver's interval count.
     """
 
-    evaluation_point: float = 0.0
+    evaluation_point: float = 0.5
     refinement: int | None = None
 
     def __post_init__(self) -> None:
@@ -194,6 +195,7 @@ def hermite_polynomial(m: int, x):
     """
     if int(m) != m or m < 0:
         raise ValueError(f"order must be a nonnegative integer; got {m!r}")
+    m = int(m)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if m == 0:
@@ -222,16 +224,23 @@ def partial_sum_std(spec: HermiteSpec, n: int) -> float:
 _CHUNK_POINTS = 1 << 15
 
 
+def _grid_steps(n: int, horizon: float) -> int:
+    """The step count ceil(n*T) of the grid k/n covering [0, T]; raises
+    unless n is a positive integer and T positive and finite."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite; got {horizon}")
+    if not (n > 0 and float(n).is_integer()):
+        raise ValueError(f"steps per unit time must be a positive integer; got {n}")
+    return math.ceil(n * horizon)
+
+
 def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
     """The rows of :func:`simulate_paths`, in blocks of consecutive seeds.
 
     Each block holds at most _CHUNK_POINTS embedded points (at least one
     row), so a caller reducing block by block never holds more.
     """
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite; got {horizon}")
-    if n <= 0:
-        raise ValueError(f"steps per unit time must be positive; got {n}")
+    m = _grid_steps(n, horizon)
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     if n < 64 and spec.order > 1:
@@ -240,7 +249,6 @@ def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
             "law is asymptotic and finite-n bias will be noticeable",
             RuntimeWarning,
         )
-    m = math.ceil(n * horizon)
     rows = max(1, _CHUNK_POINTS // (2 * m))
     norm = partial_sum_std(spec, n)
     for start in range(0, len(seeds), rows):
@@ -287,39 +295,26 @@ def simulate_fbm_exact(hurst: float, n: int, horizon: float, seed: int) -> Sampl
     return simulate_hermite_path(HermiteSpec(hurst, 1), n, horizon, seed)
 
 
-def subordinate(
-    source: HermiteSpec | SamplePath,
-    n: int,
-    horizon: float,
-    seed: int,
-    oversample: int = 8,
-) -> SamplePath:
-    """Market-time process S(t) = X(t^(1/2H)) on a uniform t-grid.
+_OVERSAMPLE = 8
 
-    Given a spec, the driver X is simulated on a fine uniform grid covering
-    the warped horizon T^(1/2H) (``oversample`` times denser than the output
-    grid needs) and each output time reads the nearest fine-grid sample; the
-    snapping error vanishes as oversample grows.  Given an existing path,
-    its own grid is used as the fine grid.  Var S(t) = t exactly in law,
-    but increments are not stationary.
+
+def subordinate(spec: HermiteSpec, n: int, horizon: float, seed: int) -> SamplePath:
+    """Market-time process S(t) = X(t^(1/2H)) on the uniform t-grid k/n.
+
+    The driver X is simulated on a fine uniform grid covering the warped
+    horizon T^(1/2H), _OVERSAMPLE times denser than the output grid needs,
+    and each output time reads the nearest fine-grid sample.  Var S(t) = t
+    exactly in law, but increments are not stationary.
     """
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite; got {horizon}")
-    if n <= 0:
-        raise ValueError(f"steps per unit time must be positive; got {n}")
-    if not 0 < oversample < math.inf:
-        raise ValueError(f"oversample must be positive and finite; got {oversample}")
-    if isinstance(source, SamplePath):
-        driver, spec = source, source.spec
-    else:
-        spec = source
-        warped_horizon = horizon ** (1.0 / (2.0 * spec.hurst))
-        fine_n = max(64, math.ceil(oversample * n * horizon / warped_horizon))
-        driver = simulate_hermite_path(spec, fine_n, warped_horizon, seed)
-    times = np.arange(math.ceil(n * horizon) + 1) / n
+    times = np.arange(_grid_steps(n, horizon) + 1) / n
+    warped_horizon = horizon ** (1.0 / (2.0 * spec.hurst))
+    fine_n = max(64, math.ceil(_OVERSAMPLE * n * horizon / warped_horizon))
+    driver = simulate_hermite_path(spec, fine_n, warped_horizon, seed)
     warped = times ** (1.0 / (2.0 * spec.hurst))
     if warped[-1] > driver.times[-1] * (1.0 + 1e-12):
         raise ValueError("driver path is shorter than the warped horizon")
+    # searched, not computed as floor(w * fine_n + 1/2): the product's
+    # rounding picks a different sample in about 2 of 10^6 lookups
     idx = np.clip(
         np.searchsorted(driver.times, warped, side="left"), 0, driver.times.size - 1
     )
@@ -331,14 +326,24 @@ def subordinate(
     return SamplePath(times, values, spec, "subordinated", seed)
 
 
-def _subgrid(length: int, refinement: int | None) -> np.ndarray:
-    intervals = length - 1
-    n = intervals if refinement is None else refinement
+def _riemann_sites(f: np.ndarray, x: np.ndarray, config: StratonovichConfig):
+    """The Riemann-Stratonovich sites and increments over ``config.refinement``
+    equal subintervals of the grid (all of its intervals by default).
+
+    Returns the site values (1-d) f_k + d f_{k+1}, d the evaluation point,
+    and the increments x_{k+1} - x_k, both along the last axis; f and x
+    share the grid's length there.
+    """
+    intervals = x.shape[-1] - 1
+    n = intervals if config.refinement is None else config.refinement
     if n < 1 or intervals % n != 0:
         raise ValueError(
             f"refinement {n} does not divide the {intervals} driver intervals"
         )
-    return np.arange(0, length, intervals // n)
+    idx = np.arange(0, intervals + 1, intervals // n)
+    d = config.evaluation_point
+    fk = f[..., idx]
+    return (1.0 - d) * fk[..., :-1] + d * fk[..., 1:], np.diff(x[..., idx], axis=-1)
 
 
 def stratonovich_integral(
@@ -352,17 +357,13 @@ def stratonovich_integral(
     equal subintervals of the grid (all of it by default); convergence as
     the refinement grows is the caller's concern.
     """
-    cfg = config or StratonovichConfig()
     f = np.asarray(f, dtype=float)
     if f.shape != driver.times.shape:
         raise ValueError(
             f"integrand has shape {f.shape}, driver grid {driver.times.shape}"
         )
-    idx = _subgrid(driver.times.size, cfg.refinement)
-    d = cfg.evaluation_point
-    fk = f[idx]
-    site = (1.0 - d) * fk[:-1] + d * fk[1:]
-    return float(site @ np.diff(driver.values[idx]))
+    site, dx = _riemann_sites(f, driver.values, config or StratonovichConfig())
+    return float(site @ dx)
 
 
 def chain_rule_residual(
@@ -386,9 +387,6 @@ def chain_rule_residual(
         float(g(x[-1], t[-1]) - g(x[0], t[0]))
         - stratonovich_integral(fx, driver, cfg)
     )
-    idx = _subgrid(t.size, cfg.refinement)
-    d = cfg.evaluation_point
-    ft = dg_dt(x[idx], t[idx])
-    site = (1.0 - d) * ft[:-1] + d * ft[1:]
-    residual -= float(site @ np.diff(t[idx]))
+    site, dt = _riemann_sites(dg_dt(x, t), t, cfg)
+    residual -= float(site @ dt)
     return abs(residual)

@@ -55,6 +55,20 @@ class HurstEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
+def _uniform_step(times: np.ndarray) -> float:
+    """The step of a uniform time grid.  Every step must match the first to
+    the relative 1e-9 of :func:`_block_stride`; raises naming the first one
+    that does not."""
+    steps = np.diff(times)
+    dt = steps[0]
+    uneven = np.flatnonzero(np.abs(steps - dt) > 1e-9 * dt)
+    if uneven.size:
+        k = uneven[0]
+        raise ValueError(f"time grid is not uniform: the step from t={times[k]} to "
+                         f"t={times[k + 1]} is {steps[k]}, the first step is {dt}")
+    return float(dt)
+
+
 def _block_stride(dt: float, block: float) -> int:
     """Grid stride covering one block; raises on a block length that is not
     positive and finite or not a multiple of the grid step."""
@@ -84,7 +98,7 @@ def centered_qv(path: SamplePath, h_for_centering: float, block: float) -> QVRep
     unit-variance motion with index ``h_for_centering``; for a matching path
     the statistic has mean zero.
     """
-    stride = _block_stride(path.times[1] - path.times[0], block)
+    stride = _block_stride(_uniform_step(path.times), block)
     v, count = _centered_qv_rows(path.values, stride, block, h_for_centering)
     return QVReport(v_stat=float(v), n_blocks=count - 1, block_length=block)
 
@@ -219,15 +233,17 @@ def estimate_hurst(path: SamplePath, scales) -> HurstEstimate:
 
     E[(X(t+s) - X(t))^2] = s^(2H) for the unit-variance motion, so the slope
     of log mean-squared-increment against log scale is 2H.  Scales count
-    grid steps; each must leave at least 8 increments.  Warns when the
-    estimate comes within sampling distance of the boundary of (1/2, 1),
-    outside which no admissible spec exists; the guard uses the regression
-    standard error with a floor of 0.02, since the regression se understates
-    dispersion under dependent increments.
+    steps of the path's uniform time grid (an uneven grid raises); each must
+    leave at least 8 increments.  Warns when the estimate comes within
+    sampling distance of the boundary of (1/2, 1), outside which no
+    admissible spec exists; the guard uses the regression standard error
+    with a floor of 0.02, since the regression se understates dispersion
+    under dependent increments.
     """
     scales = tuple(int(s) for s in scales)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
+    _uniform_step(path.times)
     x = path.values
     if float(np.ptp(x)) == 0.0:
         raise ValueError("degenerate (constant) path")

@@ -345,6 +345,23 @@ def test_estimate_rejects_malformed_csv(tmp_path, capsys):
     assert "t,value" in capsys.readouterr().err
 
 
+def test_estimate_rejects_an_uneven_grid(tmp_path, capsys):
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "--hurst", "0.7", "--order", "1", "--steps", "1024",
+                 "--seed", "11", "--out", str(sim_dir)]) == 0
+    rows = (sim_dir / "path_0.csv").read_text().splitlines()
+    uneven = tmp_path / "uneven.csv"
+    # steps of 0.5/1024 and 1.5/1024 in turn
+    uneven.write_text("\n".join(
+        [rows[0]] + [f"{(k - 0.5 * (k % 2)) / 1024!r},{row.split(',')[1]}"
+                     for k, row in enumerate(rows[1:])]) + "\n")
+    out = tmp_path / "est"
+    code = main(["estimate", "--input", str(uneven), "--out", str(out)])
+    assert code == 2
+    assert "time grid is not uniform" in capsys.readouterr().err
+    assert not (out / "estimate.json").exists()
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     target = tmp_path / "env-out"
     monkeypatch.setenv("HERMKIT_OUT", str(target))

@@ -56,6 +56,33 @@ def test_basic_rate_kinds_and_calls():
     assert tab.derivative(0.5) == pytest.approx(0.02)
 
 
+def test_basic_rate_bounds_are_derived_from_the_parameters():
+    assert BasicRate.constant(0.05).bounds == (0.05, 0.05)
+    assert BasicRate.table([0.0, 1.0, 2.0], [0.03, 0.01, 0.02]).bounds == (0.01, 0.03)
+    # monotone on [0, 2]; the interior maximum 0.0625 at t = 2.5 on [0, 4]
+    assert BasicRate.polynomial([0.05, 0.01], horizon=2.0).bounds == (0.05, 0.07)
+    assert BasicRate.polynomial([0.0, 0.05, -0.01], horizon=4.0).bounds == pytest.approx(
+        (0.0, 0.0625), abs=1e-15)
+    # stored bounds that contradict the parameters are no longer accepted
+    with pytest.raises(TypeError):
+        BasicRate("constant", (-0.05,), bounds=(0.1, 0.2))
+    with pytest.raises(ValueError, match="no other kind takes one"):
+        BasicRate("constant", (-0.05,), (0.1, 0.2))
+    with pytest.raises(ValueError, match="polynomial horizon must be positive and finite"):
+        BasicRate.polynomial([0.05], horizon=np.nan)
+
+
+def test_polynomial_rate_dip_between_samples_is_not_riskless():
+    # r(t) = (t - a)^2 - 1e-8 dips below zero around a, between any two
+    # points of a 4097-point grid on [0, 10]
+    a = 5.0 + 10.0 / 8192
+    rate = BasicRate.polynomial([a * a - 1e-8, -2.0 * a, 1.0], horizon=10.0)
+    assert rate.bounds[0] == pytest.approx(-1e-8, rel=1e-5)
+    with pytest.raises(ValueError, match="bounded away from zero"):
+        MarketSpec(spec=SPEC, riskless=rate, drifts=(BasicRate.constant(0.08),),
+                   volatility=np.array([[0.2]]), initial_prices=(1.0,))
+
+
 def test_cumulative_rate_form_and_anchor():
     r = BasicRate.constant(0.05)
     t = np.array([0.0, 0.5, 1.0, 2.0])
@@ -246,8 +273,7 @@ def test_risk_price_closure_and_consistency_diagnostic():
     m = _market(mu=0.09, r=0.05)
     rp = market_price_of_risk(m, 0.9)
     v = np.array([0.2, 0.5])
-    assert rp.evaluation_time == 0.9
-    assert rp.z(v)[0] == pytest.approx(solve_market_price_of_risk(m, 0.9, v)[0])
+    assert rp(v)[0] == pytest.approx(solve_market_price_of_risk(m, 0.9, v)[0])
     # constant-coefficient spread across evaluation times is positive but
     # finite: the system is solvable time by time, not time-consistently
     spread = risk_price_consistency(m, v, np.linspace(0.5, 1.0, 4))

@@ -58,12 +58,20 @@ def test_payoff_constructors_and_eval():
     assert tab(1.25) == pytest.approx(0.25)
     fn = Payoff.from_callable(lambda x: np.maximum(x - 1.0, 0.0))
     assert fn(1.5) == 0.5
-    with pytest.raises(ValueError, match="kind"):
+    with pytest.raises(TypeError):
         Payoff(kind="lookback")
-    with pytest.raises(ValueError, match="exponents"):
-        Payoff(kind="power_product")
-    with pytest.raises(ValueError, match="fn"):
-        Payoff(kind="callable")
+    with pytest.raises(ValueError, match="at least one exponent"):
+        Payoff.power([])
+    with pytest.raises(ValueError, match="fn must be callable"):
+        Payoff.from_callable(None)
+    with pytest.raises(ValueError, match="one finite value per node"):
+        Payoff.from_table([1.0, 2.0], [0.0])
+
+
+@pytest.mark.parametrize("nodes", [[1.0, np.nan], [2.0, 1.0], [1.0, 1.0], []])
+def test_payoff_table_nodes_must_be_finite_and_increasing(nodes):
+    with pytest.raises(ValueError, match="nodes must be finite and strictly increasing"):
+        Payoff.from_table(nodes, [0.0, 1.0][: len(nodes)])
 
 
 def test_pricing_grid_validation():
@@ -648,9 +656,18 @@ def test_nan_times_are_rejected(call):
     pytest.param(lambda m: replace(m, initial_prices=(np.nan,)),
                  "initial_prices must be 1 positive reals", id="initial-price"),
     pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [np.nan, 0.05, 0.06]),
-                 "bounds must be a finite", id="table-first-value"),
+                 "table rate parameters must be finite", id="table-first-value"),
     pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [0.05, np.nan, 0.06]),
-                 "bounds must be a finite", id="table-inner-value"),
+                 "table rate parameters must be finite", id="table-inner-value"),
+    pytest.param(lambda m: BasicRate.polynomial([0.05, np.nan]),
+                 "polynomial rate parameters must be finite", id="polynomial-coefficient"),
+    pytest.param(lambda m: BasicRate.polynomial([0.05, np.inf]),
+                 "polynomial rate parameters must be finite", id="polynomial-infinite"),
+    pytest.param(lambda m: BasicRate.polynomial([]),
+                 "polynomial rate parameters must be finite and nonempty",
+                 id="polynomial-empty"),
+    pytest.param(lambda m: AssetPath(times=[0.0, 1.0], prices=[1.0, 2.0]).at(np.nan),
+                 "time nan outside the path span", id="asset-path-at"),
     pytest.param(lambda m: BasicRate.table([0.0, np.nan, 2.0], [0.05, 0.05, 0.05]),
                  "table times must be strictly increasing", id="table-time"),
     pytest.param(lambda m: price_characteristics(Payoff.power(0.4), m, 0.0, 1.0, np.nan),

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,7 @@ def test_hermite_polynomial_values():
     assert np.allclose(hermite_polynomial(2, x), x ** 2 - 1)
     assert np.allclose(hermite_polynomial(3, x), x ** 3 - 3 * x)
     assert np.allclose(hermite_polynomial(4, x), x ** 4 - 6 * x ** 2 + 3)
+    assert np.array_equal(hermite_polynomial(2.0, x), hermite_polynomial(2, x))
 
 
 def test_hermite_polynomial_orthogonality():
@@ -127,10 +129,15 @@ def test_fbm_horizon_and_steps():
             simulate_hermite_path(HermiteSpec(0.6, 2), 64, horizon, 0)
         with pytest.raises(ValueError, match=f"horizon must be positive and finite; got {horizon}"):
             subordinate(HermiteSpec(0.6, 1), 32, horizon, 0)
-    for oversample in (math.nan, math.inf, 0, -2):
-        with pytest.raises(ValueError,
-                           match=f"oversample must be positive and finite; got {oversample}"):
-            subordinate(HermiteSpec(0.6, 1), 64, 1.0, 1, oversample=oversample)
+
+
+@pytest.mark.parametrize("n", [8.5, math.nan, math.inf, 0, -4])
+def test_steps_per_unit_time_must_be_a_positive_integer(n):
+    message = re.escape(f"steps per unit time must be a positive integer; got {n}")
+    with pytest.raises(ValueError, match=message):
+        simulate_paths(HermiteSpec(0.6, 1), n, 1.0, [0])
+    with pytest.raises(ValueError, match=message):
+        subordinate(HermiteSpec(0.6, 1), n, 1.0, 0)
 
 
 @pytest.mark.parametrize("seed, first_draws", [

@@ -187,6 +187,18 @@ def test_estimate_hurst_no_warning_inside_domain():
         estimate_hurst(p, (2, 4, 8, 16, 32, 64))
 
 
+def test_uneven_grids_are_rejected():
+    p = simulate_fbm_exact(0.7, 1024, 1.0, 3)
+    times = p.times.copy()
+    times[1::2] -= 0.5 / 1024  # steps of 0.5/1024 and 1.5/1024 in turn
+    uneven = SamplePath(times, p.values, None, "exact_fbm", 0)
+    message = re.escape(f"time grid is not uniform: the step from t={times[1]} to t={times[2]}")
+    with pytest.raises(ValueError, match=message):
+        estimate_hurst(uneven, (2, 4, 8, 16, 32))
+    with pytest.raises(ValueError, match=message):
+        centered_qv(uneven, 0.7, 1.0 / 512)
+
+
 def test_estimate_hurst_validation():
     p = simulate_fbm_exact(0.7, 64, 1.0, 0)
     with pytest.raises(ValueError, match="3 scales"):
