@@ -391,7 +391,7 @@ def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     times = np.array([row[0] for row in data])
     values = np.array([row[1] for row in data])
     try:
-        path = SamplePath(times, values, spec=None, method="exact_fbm", seed=record.seed)
+        path = SamplePath(times, values, spec=None, method="observed", seed=record.seed)
     except ValueError as exc:
         raise CliError(f"{args.input}: {exc}") from exc
     scales = _ints(args.scales, "--scales")

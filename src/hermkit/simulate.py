@@ -25,30 +25,46 @@ Paths are deterministic functions of (inputs, seed): each row draws from a
 generator of its own seed, so it is bit-identical whichever batch or chunk
 it is drawn in.  Monte Carlo callers seed the paths of a run from its root
 seed with :func:`_run_seeds`, the one home of that rule and its limits.
+
+Long rows run on every core.  When a chunk holds a single row (more than
+_CHUNK_POINTS / 4 steps), a call has at least two chunks and at least two
+CPUs are usable, the chunks are filled on worker threads, one per usable
+CPU, each with at most one chunk in flight; they are still yielded in seed
+order.  The normal draws and the FFT release the GIL, and each row keeps
+its own generator, so the values are the same bits as on the calling
+thread, where every other call runs.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .kernel import HermiteSpec
 
-_METHODS = ("exact_fbm", "invariance_principle", "subordinated")
+_METHODS = ("exact_fbm", "invariance_principle", "subordinated", "observed")
 
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A simulated path on a strictly increasing time grid starting at 0."""
+    """A path on a strictly increasing time grid starting at 0.
+
+    ``method`` names where it came from: one of the simulation routes, or
+    ``"observed"`` for data read from outside, the one kind of path whose
+    law hermkit does not know (``spec`` may be None only there).
+    """
 
     times: np.ndarray
     values: np.ndarray
-    spec: HermiteSpec
+    spec: HermiteSpec | None
     method: str
     seed: int
 
@@ -63,6 +79,9 @@ class SamplePath:
             raise ValueError("times must be strictly increasing")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}; got {self.method!r}")
+        if self.spec is None and self.method != "observed":
+            raise ValueError(f"a {self.method!r} path needs its HermiteSpec; "
+                             "only an 'observed' path may have spec=None")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -131,6 +150,10 @@ def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray:
     -1e-9 * lam_max are roundoff and clipped to 0, lower ones raise
     FloatingPointError.
     """
+    if not (0.5 < hurst_prime < 1.0):
+        raise ValueError(f"hurst_prime must lie in (1/2, 1); got {hurst_prime}")
+    if n < 2:
+        raise ValueError(f"need n >= 2 draws; got {n}")
     rho = fgn_covariance(hurst_prime, np.arange(n + 1))
     row = np.concatenate([rho[:-1], rho[:0:-1]])
     lam = np.fft.fft(row).real
@@ -150,27 +173,50 @@ def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray:
     return scales
 
 
-def _fgn_rows(hurst_prime: float, n: int, seeds) -> np.ndarray:
-    """One row of n fGn draws per seed, each exactly :func:`gen_fgn`'s."""
-    if not (0.5 < hurst_prime < 1.0):
-        raise ValueError(f"hurst_prime must lie in (1/2, 1); got {hurst_prime}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 draws; got {n}")
-    scales = _circulant_scales(hurst_prime, n)
-    # Each row draws a (length m) then b, and the embedding reads b only
-    # below n, so b's tail is never drawn.  w is Hermitian: w_0 and w_n are
-    # real, w_k = s_k (a_k + i b_k) and w_{m-k} its conjugate for 0 < k < n.
+def _fgn_scratch(rows: int, n: int) -> np.ndarray:
+    """The scratch of :func:`_fgn_into` for up to ``rows`` rows of n draws:
+    the (rows, 2n) complex embedding vectors."""
+    return np.empty((rows, 2 * n), dtype=complex)
+
+
+def _fgn_into(scales: np.ndarray, seeds, w: np.ndarray, out: np.ndarray) -> None:
+    """One row of n fGn draws per seed into ``out`` (len(seeds), n), using
+    the first len(seeds) rows of the scratch from :func:`_fgn_scratch`.
+
+    Each row draws a (length 2n) then b, and the embedding reads b only
+    below n, so b's tail is never drawn.  w is Hermitian: w_0 and w_n are
+    real, w_k = s_k (a_k + i b_k) and w_{2n-k} its conjugate for 0 < k < n.
+    a waits in the back half of w, which is written only once a is read,
+    and b in the row of ``out``; the FFT runs in place.  Allocates no array
+    and calls no public name, so worker threads may run it.
+    """
+    rows, n = out.shape
     m = 2 * n
-    normals = np.empty((len(seeds), m + n))
-    for row, seed in zip(normals, seeds):
-        _rng(seed).standard_normal(out=row)
-    w = np.zeros((len(seeds), m), dtype=complex)
+    w = w[:rows]
     re, im = w.real, w.imag
-    np.multiply(scales, normals[:, : n + 1], out=re[:, : n + 1])
-    np.multiply(scales[1:n], normals[:, m + 1 :], out=im[:, 1:n])
+    a = w[:, n:].view(float)
+    for row_a, row_b, seed in zip(a, out, seeds):
+        rng = _rng(seed)
+        rng.standard_normal(out=row_a)
+        rng.standard_normal(out=row_b)
+    np.multiply(scales[:n], a[:, :n], out=re[:, :n])
+    re[:, n] = scales[n] * a[:, n]
+    np.multiply(scales[1:n], out[:, 1:], out=im[:, 1:n])
+    im[:, 0] = im[:, n] = 0.0
     re[:, m - 1 : n : -1] = re[:, 1:n]
     np.negative(im[:, 1:n], out=im[:, m - 1 : n : -1])
-    return np.fft.fft(w, axis=1).real[:, :n]
+    np.fft.fft(w, axis=1, out=w)
+    out[...] = re[:, :n]
+
+
+def _fgn_rows(hurst_prime: float, n: int, seeds, out: np.ndarray | None = None) -> np.ndarray:
+    """One row of n fGn draws per seed, each exactly :func:`gen_fgn`'s, into
+    ``out`` (a new (len(seeds), n) array by default)."""
+    scales = _circulant_scales(hurst_prime, n)
+    if out is None:
+        out = np.empty((len(seeds), n))
+    _fgn_into(scales, seeds, _fgn_scratch(len(seeds), n), out)
+    return out
 
 
 def gen_fgn(hurst_prime: float, n: int, seed: int) -> np.ndarray:
@@ -183,7 +229,31 @@ def gen_fgn(hurst_prime: float, n: int, seed: int) -> np.ndarray:
     negative beyond roundoff raises FloatingPointError before any normal is
     drawn.
     """
-    return _fgn_rows(hurst_prime, n, [seed])[0]
+    out = np.empty(n)
+    _fgn_rows(hurst_prime, n, [seed], out[np.newaxis])
+    return out
+
+
+def _hermite_into(order: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+    """He_order(x) by the three-term recurrence, in the given buffers.
+
+    ``prev``, ``cur`` and ``tmp`` share x's shape and are overwritten; the
+    one holding the result is returned.  The one home of the recurrence:
+    :func:`hermite_polynomial` and the path engine's worker threads both
+    run it.
+    """
+    prev.fill(1.0)
+    if order == 0:
+        return prev
+    np.copyto(cur, x)
+    for j in range(1, order):
+        # He_{j+1} = x*He_j - j*He_{j-1}
+        np.multiply(x, cur, out=tmp)
+        np.multiply(j, prev, out=prev)
+        np.subtract(tmp, prev, out=prev)
+        prev, cur = cur, prev
+    return cur
 
 
 def hermite_polynomial(m: int, x):
@@ -193,17 +263,11 @@ def hermite_polynomial(m: int, x):
     standard Gaussian with E[He_l(Z) He_m(Z)] = m! * [l == m].  Accepts
     scalars or arrays.
     """
-    if int(m) != m or m < 0:
+    if not (math.isfinite(m) and int(m) == m and m >= 0):
         raise ValueError(f"order must be a nonnegative integer; got {m!r}")
-    m = int(m)
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if m == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for j in range(1, m):
-        prev, cur = cur, x * cur - j * prev
-    return cur if cur.ndim else float(cur)
+    he = _hermite_into(int(m), x, *(np.empty_like(x) for _ in range(3)))
+    return he if he.ndim else float(he)
 
 
 @lru_cache(maxsize=256)
@@ -234,11 +298,103 @@ def _grid_steps(n: int, horizon: float) -> int:
     return math.ceil(n * horizon)
 
 
+def _fill_chunk(order: int, norm: float, scales: np.ndarray, seeds,
+                w: np.ndarray, paths: np.ndarray) -> None:
+    """One chunk of paths, a row per seed, into ``paths`` (len(seeds), m+1).
+
+    fGn lands in the rows, He_k runs in the scratch (free once the FFT's
+    real parts are copied out), and the cumulative sums go back into the
+    rows before the partial-sum normalisation.  Allocates no array and calls no
+    public name, so worker threads may run it.
+    """
+    m = paths.shape[1] - 1
+    xi = paths[:, 1:]
+    _fgn_into(scales, seeds, w, xi)
+    scratch = w[: len(seeds)].view(float)
+    he = _hermite_into(order, xi, scratch[:, :m], scratch[:, m : 2 * m], scratch[:, 2 * m : 3 * m])
+    paths[:, 0] = 0.0
+    np.cumsum(he, axis=1, out=xi)
+    paths /= norm
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threaded_chunks(fill, blocks, scratch, m: int):
+    """Yield one filled (len(block), m+1) chunk per block, in order, each
+    filled by ``fill(block, scratch[k], paths)`` on worker thread k.
+
+    There is one worker per scratch array.  The caller allocates every chunk
+    and hands a worker its next block only once it has taken the worker's
+    last chunk, so each worker has at most one chunk in flight.  A worker's
+    exception is raised here when its chunk's turn comes; closing the
+    generator waits for the chunks in flight and stops every worker.
+    """
+    go = [threading.Semaphore(0) for _ in scratch]
+    done = [threading.Semaphore(0) for _ in scratch]
+    jobs: list = [None] * len(scratch)  # (block, paths), None stops the worker
+    errors: list = [None] * len(scratch)
+
+    def work(k):
+        while True:
+            go[k].acquire()
+            if jobs[k] is None:
+                return
+            try:
+                fill(jobs[k][0], scratch[k], jobs[k][1])
+            except BaseException as exc:
+                errors[k] = exc
+            done[k].release()
+
+    def hand(k) -> bool:
+        block = next(blocks, None)
+        if block is None:
+            return False
+        jobs[k] = (block, np.empty((len(block), m + 1)))
+        go[k].release()
+        return True
+
+    threads = []
+    busy = collections.deque()  # workers with a chunk in flight, in block order
+    try:
+        for k in range(len(scratch)):
+            threads.append(threading.Thread(target=work, args=(k,), daemon=True))
+            threads[k].start()
+            if hand(k):
+                busy.append(k)
+        while busy:
+            k = busy.popleft()
+            done[k].acquire()
+            if errors[k] is not None:
+                raise errors[k]
+            paths = jobs[k][1]
+            if hand(k):
+                busy.append(k)
+            yield paths
+    finally:
+        for k in busy:
+            done[k].acquire()
+        for k, thread in enumerate(threads):
+            jobs[k] = None
+            go[k].release()
+            thread.join()
+
+
 def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
     """The rows of :func:`simulate_paths`, in blocks of consecutive seeds.
 
     Each block holds at most _CHUNK_POINTS embedded points (at least one
-    row), so a caller reducing block by block never holds more.
+    row), so a caller reducing block by block never holds more.  Blocks of
+    one row (m > _CHUNK_POINTS / 4 steps) are filled on worker threads when
+    there are at least two blocks and two usable CPUs: one worker per usable
+    CPU, each with at most one block in flight, and the blocks are still
+    yielded in seed order.  Shorter rows are filled on the calling thread.
+    Either way every row is drawn from its own seed's generator, so the
+    values are the same bits.
     """
     m = _grid_steps(n, horizon)
     if len(seeds) == 0:
@@ -250,13 +406,20 @@ def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
             RuntimeWarning,
         )
     rows = max(1, _CHUNK_POINTS // (2 * m))
+    # both caches are filled here, before any worker starts
     norm = partial_sum_std(spec, n)
-    for start in range(0, len(seeds), rows):
-        xi = _fgn_rows(spec.hurst_prime, m, seeds[start : start + rows])
-        paths = np.empty((xi.shape[0], m + 1))
-        paths[:, 0] = 0.0
-        np.cumsum(hermite_polynomial(spec.order, xi), axis=1, out=paths[:, 1:])
-        paths /= norm
+    scales = _circulant_scales(spec.hurst_prime, m)
+    starts = range(0, len(seeds), rows)
+    workers = min(len(starts), _usable_cpus()) if rows == 1 else 1
+    fill = partial(_fill_chunk, spec.order, norm, scales)
+    scratch = [_fgn_scratch(min(rows, len(seeds)), m) for _ in range(workers)]
+    blocks = (seeds[start : start + rows] for start in starts)
+    if workers > 1:
+        yield from _threaded_chunks(fill, blocks, scratch, m)
+        return
+    for block in blocks:
+        paths = np.empty((len(block), m + 1))
+        fill(block, scratch[0], paths)
         yield paths
 
 
@@ -265,7 +428,9 @@ def simulate_paths(spec: HermiteSpec, n: int, horizon: float, seeds) -> np.ndarr
 
     Row i is bit-identical to ``simulate_hermite_path(spec, n, horizon,
     seeds[i]).values`` on the grid k/n, k = 0..m = ceil(n*T); the circulant
-    spectrum is computed once per (H', m) and the rows share the FFTs.
+    spectrum is computed once per (H', m) and the rows share the FFTs.  Rows
+    longer than _CHUNK_POINTS / 4 steps are drawn on one worker thread per
+    usable CPU (see :func:`_path_chunks`), with the same bits.
     """
     return np.concatenate(list(_path_chunks(spec, n, horizon, seeds)))
 
@@ -307,8 +472,10 @@ def subordinate(spec: HermiteSpec, n: int, horizon: float, seed: int) -> SampleP
     exactly in law, but increments are not stationary.
     """
     times = np.arange(_grid_steps(n, horizon) + 1) / n
-    warped_horizon = horizon ** (1.0 / (2.0 * spec.hurst))
-    fine_n = max(64, math.ceil(_OVERSAMPLE * n * horizon / warped_horizon))
+    # the grid ends at ceil(n*T)/n, past T when n*T is not whole
+    end = float(times[-1])
+    warped_horizon = end ** (1.0 / (2.0 * spec.hurst))
+    fine_n = max(64, math.ceil(_OVERSAMPLE * n * end / warped_horizon))
     driver = simulate_hermite_path(spec, fine_n, warped_horizon, seed)
     warped = times ** (1.0 / (2.0 * spec.hurst))
     if warped[-1] > driver.times[-1] * (1.0 + 1e-12):

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +75,12 @@ def test_hermite_polynomial_values():
     assert np.array_equal(hermite_polynomial(2.0, x), hermite_polynomial(2, x))
 
 
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, -1, 1.5])
+def test_hermite_polynomial_names_a_bad_order(order):
+    with pytest.raises(ValueError, match=re.escape(f"nonnegative integer; got {order!r}")):
+        hermite_polynomial(order, 1.0)
+
+
 def test_hermite_polynomial_orthogonality():
     # E H_m(xi) H_k(xi) = delta_mk m! under the standard Gaussian; check by
     # Gauss-Hermite quadrature so no sampling noise enters
@@ -91,11 +99,19 @@ def test_sample_path_validation():
     path = SamplePath(times, values, HermiteSpec(0.7, 1), "exact_fbm", 3)
     assert path.values.dtype == float and path.values[1] == 0.2
     with pytest.raises(ValueError, match="start at t=0"):
-        SamplePath(times + 1.0, values, None, "exact_fbm", 0)
+        SamplePath(times + 1.0, values, None, "observed", 0)
     with pytest.raises(ValueError, match="strictly increasing"):
-        SamplePath(np.array([0.0, 0.5, 0.5]), values, None, "exact_fbm", 0)
+        SamplePath(np.array([0.0, 0.5, 0.5]), values, None, "observed", 0)
     with pytest.raises(ValueError, match="method"):
         SamplePath(times, values, None, "bogus", 0)
+
+
+def test_only_observed_paths_lack_a_spec():
+    times, values = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.2, -0.1])
+    assert SamplePath(times, values, None, "observed", 0).spec is None
+    for method in ("exact_fbm", "invariance_principle", "subordinated"):
+        with pytest.raises(ValueError, match=f"a '{method}' path needs its HermiteSpec"):
+            SamplePath(times, values, None, method, 0)
 
 
 def test_fbm_exact_grid_law():
@@ -234,9 +250,13 @@ def test_hermite_paths_are_frozen(order, hurst, n, horizon, seed, digest):
 @pytest.mark.parametrize("order, hurst, n, horizon", [
     (1, 0.6, 1, 129.0),
     (2, 0.7, 64, 4.0),
+    (2, 0.7, 64, 130.0),  # one-row chunks: worker threads
 ])
-def test_simulate_paths_rows_equal_one_row_calls(order, hurst, n, horizon):
-    # 3 full chunks and a partial one; every chunk stays within the bound
+def test_simulate_paths_rows_equal_one_row_calls(order, hurst, n, horizon, monkeypatch):
+    # 3 full chunks and a partial one; every chunk stays within the bound.
+    # Three workers, whatever the machine has, so the threaded side runs and
+    # its round robin wraps around.
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
     spec = HermiteSpec(hurst, order)
     m = math.ceil(n * horizon)
     rows = _CHUNK_POINTS // (2 * m)
@@ -247,6 +267,66 @@ def test_simulate_paths_rows_equal_one_row_calls(order, hurst, n, horizon):
     assert paths.shape == (len(seeds), m + 1)
     for i, seed in enumerate(seeds):
         assert np.array_equal(paths[i], simulate_hermite_path(spec, n, horizon, seed).values)
+
+
+def _one_row_grid():
+    """(spec, n, horizon) whose chunks are single rows, so that two or more
+    seeds go to worker threads."""
+    spec, n, horizon = HermiteSpec(0.7, 2), 64, 130.0
+    assert _CHUNK_POINTS // (2 * math.ceil(n * horizon)) == 1
+    return spec, n, horizon
+
+
+def test_threaded_chunks_raise_the_serial_error(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    spec, n, horizon = _one_row_grid()
+    with pytest.raises(ValueError) as serial:
+        simulate_paths(spec, 64, 1.0, [-3])  # many rows per chunk: no thread
+    threads = threading.active_count()
+    chunks = _path_chunks(spec, n, horizon, [1, 2, -3, 4, 5])
+    drawn = [next(chunks), next(chunks)]
+    with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
+        next(chunks)
+    for chunk, seed in zip(drawn, [1, 2]):
+        assert np.array_equal(chunk[0], simulate_hermite_path(spec, n, horizon, seed).values)
+    assert threading.active_count() == threads
+
+
+def test_closing_threaded_chunks_stops_the_workers(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    spec, n, horizon = _one_row_grid()
+    threads = threading.active_count()
+    chunks = _path_chunks(spec, n, horizon, range(6))
+    first = next(chunks)
+    assert threading.active_count() == threads + 2
+    chunks.close()
+    assert threading.active_count() == threads
+    assert np.array_equal(first[0], simulate_hermite_path(spec, n, horizon, 0).values)
+
+
+def test_threaded_chunks_under_stress(monkeypatch):
+    # more workers than cores and a short switch interval: every row is still
+    # its own seed's, in seed order, and the call ends
+    spec, n, horizon = _one_row_grid()
+    seeds = range(100, 112)
+    expected = np.array([simulate_hermite_path(spec, n, horizon, s).values for s in seeds])
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 5)
+    drawn = []
+    caller = threading.Thread(target=lambda: drawn.append(simulate_paths(spec, n, horizon, seeds)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert np.array_equal(drawn[0], expected)
+
+
+def test_gen_fgn_owns_its_data():
+    x = gen_fgn(0.7, 1000, 3)
+    assert x.shape == (1000,) and x.flags.owndata and x.base is None
 
 
 def test_simulate_paths_needs_a_seed():
@@ -332,6 +412,18 @@ def test_subordinated_market_time_variance():
     s = subordinate(spec, 32, 1.0, 1)
     assert s.method == "subordinated"
     assert s.times[0] == 0.0 and s.values[0] == 0.0
+
+
+def test_subordinate_grid_past_the_horizon():
+    # when n*T is not whole the grid runs on to ceil(n*T)/n, and the path is
+    # the one whose horizon is that last grid time
+    spec = HermiteSpec(0.6, 1)
+    s = subordinate(spec, 3, 0.1, 0)
+    assert np.array_equal(s.times, [0.0, 1 / 3])
+    spec = HermiteSpec(0.7, 2)
+    s = subordinate(spec, 10, 1.05, 4)
+    assert s.times[-1] == 1.1
+    assert np.array_equal(s.values, subordinate(spec, 10, 1.1, 4).values)
 
 
 def test_stratonovich_midpoint_exact_for_linear_integrand():

@@ -25,7 +25,7 @@ from hermkit import (
 def _flat_path(n_blocks: int, per_block: int) -> SamplePath:
     n = n_blocks * per_block
     times = np.arange(n + 1) / per_block
-    return SamplePath(times, np.zeros(n + 1), None, "exact_fbm", 0)
+    return SamplePath(times, np.zeros(n + 1), None, "observed", 0)
 
 
 def test_centered_qv_of_zero_path_is_minus_centering():
@@ -172,7 +172,7 @@ def test_estimate_hurst_warns_at_domain_boundary():
     rng = np.random.default_rng(3)
     n = 2 ** 14
     values = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))]) / np.sqrt(n)
-    p = SamplePath(np.arange(n + 1) / n, values, None, "exact_fbm", 3)
+    p = SamplePath(np.arange(n + 1) / n, values, None, "observed", 3)
     with pytest.warns(RuntimeWarning, match="no Hermite motion"):
         est = estimate_hurst(p, (2, 4, 8, 16, 32, 64))
     assert 0.45 < est.h_hat < 0.55
@@ -191,7 +191,7 @@ def test_uneven_grids_are_rejected():
     p = simulate_fbm_exact(0.7, 1024, 1.0, 3)
     times = p.times.copy()
     times[1::2] -= 0.5 / 1024  # steps of 0.5/1024 and 1.5/1024 in turn
-    uneven = SamplePath(times, p.values, None, "exact_fbm", 0)
+    uneven = SamplePath(times, p.values, None, "observed", 0)
     message = re.escape(f"time grid is not uniform: the step from t={times[1]} to t={times[2]}")
     with pytest.raises(ValueError, match=message):
         estimate_hurst(uneven, (2, 4, 8, 16, 32))
@@ -207,7 +207,7 @@ def test_estimate_hurst_validation():
         estimate_hurst(p, (2, 4, 60))
     with pytest.raises(ValueError, match="scale 0 must be at least 1 grid step"):
         estimate_hurst(p, (0, 2, 4))
-    flat = SamplePath(p.times, np.zeros_like(p.values), None, "exact_fbm", 0)
+    flat = SamplePath(p.times, np.zeros_like(p.values), None, "observed", 0)
     with pytest.raises(ValueError, match="degenerate"):
         estimate_hurst(flat, (2, 4, 8))
 
