@@ -504,6 +504,10 @@ def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     grid = PricingGrid(x_lo=x_lo, x_hi=x_hi, nx=int(args.grid), nt=int(args.grid),
                        t_start=0.0, t_end=horizon)
     out = futures_march(profile, path, market, grid)
+    # I(T) does not depend on the x grid, so the half-step march needs two columns
+    half = futures_march(profile, path, market,
+                         PricingGrid(x_lo=x_lo, x_hi=x_hi, nx=2, nt=max(1, grid.nt // 2),
+                                     t_start=0.0, t_end=horizon))
     _write_csv(out_dir / "futures.csv", ["t", *out.x_grid.tolist()],
                np.column_stack((out.t_grid, out.psi)).tolist())
     _write_csv(out_dir / "residual.csv", ("t", "residual"),
@@ -515,6 +519,8 @@ def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> None:
         "x_hi": x_hi,
         "profile": {"base": base, "step": step, "center": center, "width": width},
         "residual_sup": float(np.abs(out.residual).max()),
+        "integral_T": float(out.integral[-1]),
+        "integral_T_half_step_change": abs(float(out.integral[-1] - half.integral[-1])),
     })
 
 

@@ -13,8 +13,9 @@ x dependence.
 
 Bonds are ratios of riskless prices, forwards are the static replication
 short-stock/long-bond portfolio, and the futures payoff-rate field solves a
-path-conditional integro-differential identity by explicit marching in the
-cumulative-rate time variable.
+path-conditional integro-differential identity by explicit marching on a
+uniform time grid, each row exact along the characteristics of the
+cumulative-rate clock.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import d_constant
 from .market import (
     AssetPath,
     BasicRate,
@@ -505,30 +505,6 @@ def futures_residual(field: FuturesField, market: MarketSpec) -> np.ndarray:
     return integral - psi_path * px - psi_path * prho
 
 
-def _invert_cumulative(market: MarketSpec, rho: np.ndarray, horizon: float) -> np.ndarray:
-    """The times t in [0, horizon] with cumulative riskless rate ``rho``, one
-    per target, for a cumulative rate that increases on [0, horizon].
-
-    Constant rates invert in closed form.  Other kinds bisect every target
-    at once, one ``cumulative_rate`` call per halving, until each bracket
-    is narrower than 1e-14 + 8.9e-16 t (brentq's default tolerances) or its
-    ends are adjacent floats.
-    """
-    spec = market.spec
-    r = market.riskless
-    if r.kind == "constant":
-        scale = d_constant(spec) * r.parameters[0]
-        return (np.maximum(rho, 0.0) / scale) ** (1.0 / (2.0 * spec.hurst))
-    lo, hi = np.zeros_like(rho), np.full_like(rho, horizon)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((hi - lo < 1e-14 + 8.9e-16 * mid) | (mid == lo) | (mid == hi)):
-            return mid
-        below = cumulative_rate(spec, r, mid) < rho
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-
-
 def _profile_at(profile: Callable, feet: np.ndarray, t) -> np.ndarray:
     """Initial-profile values at characteristic feet reached at times ``t``
     (broadcastable to ``feet``), each checked finite and above the zero
@@ -555,20 +531,22 @@ def futures_march(
     """Explicit march of dpsi/dt = r(t) [I(t) - psi psi_x] / psi along the
     given underlying path.
 
-    The time variable is the cumulative riskless rate rho (uniform steps),
-    where the equation reads dpsi/drho + psi_x = I/psi: a unit-speed
-    advection of psi^2 with source 2I, so every row is exactly
+    In the cumulative riskless rate rho the equation reads
+    dpsi/drho + psi_x = I/psi: a unit-speed advection of psi^2 with source
+    2I, so along any rho path every row is exactly
 
         psi(x, rho)^2 = psi0(x - rho)^2 + 2 J(rho),
 
-    J the rho-antiderivative of I.  Only I (by trapezoid along the path) and
-    J (by trapezoid in rho) are marched, a scalar recurrence; psi at the new
-    path point solves a quadratic exactly.  The times of the uniform rho
-    steps are found all at once (:func:`_invert_cumulative`), so the
-    cumulative riskless rate must increase on [0, horizon]: it is checked at
-    the path's time nodes, and ``ValueError`` names the first node after
-    which it does not.  The rows are then filled in blocks of at most
-    2^15 grid points, one profile call per block.
+    J the rho-antiderivative of I.  The march steps uniformly in t, on
+    ``np.linspace(0, horizon, nt + 1)``, with rows at rho_n = rho(t_n) and
+    steps drho_n = rho_{n+1} - rho_n.  Only I (by trapezoid in t along the
+    path) and J (by trapezoid in rho) are marched, a scalar recurrence that
+    converges at second order; psi at the new path point solves a quadratic
+    exactly.  The residual differentiates in rho, so the cumulative riskless
+    rate must increase on [0, horizon]: it is checked at the path's time
+    nodes, and ``ValueError`` names the first node after which it does not.
+    The rows are then filled in blocks of at most 2^15 grid points, one
+    profile call per block.
 
     The initial profile psi0 must accept points left of the grid, and every
     value of it used must be finite and above 1e-8, else ``ValueError``
@@ -598,20 +576,19 @@ def futures_march(
         raise ValueError("the cumulative riskless rate must increase on the marching "
                          f"horizon; it stops increasing after t={nodes[stalls[0]]:.6g}")
     nt = grid.nt
-    rho_total = cumulative_rate(spec, market.riskless, horizon)
-    drho = rho_total / nt
-    t_grid = np.concatenate(
-        ([0.0], _invert_cumulative(market, np.arange(1, nt) * drho, horizon), [horizon]))
+    t_grid = np.linspace(0.0, horizon, nt + 1)
+    rho = cumulative_rate(spec, market.riskless, t_grid)
     xp = np.interp(t_grid, times_p, values_p)
     if np.any(xp < x_grid[0]) or np.any(xp > x_grid[-1]):
         k_bad = int(np.argmax((xp < x_grid[0]) | (xp > x_grid[-1])))
         raise ValueError(f"underlying path leaves the x grid at t={t_grid[k_bad]:.6g}")
 
-    sq_path = _profile_at(initial_profile, xp - np.arange(nt + 1) * drho, t_grid) ** 2
+    sq_path = _profile_at(initial_profile, xp - rho, t_grid) ** 2
     integral = np.zeros(nt + 1)
     j_acc = np.zeros(nt + 1)
     for n in range(nt):
         dt_n = t_grid[n + 1] - t_grid[n]
+        drho = rho[n + 1] - rho[n]
         p_n = math.sqrt(sq_path[n] + 2.0 * j_acc[n])
         # psi^2 at the new path point is q + 2 (J_{n+1} - J_n), a quadratic in psi
         q = sq_path[n + 1] + 2.0 * j_acc[n]
@@ -625,9 +602,8 @@ def futures_march(
     block = max(1, _CHUNK_POINTS // grid.nx)
     for a in range(1, nt + 1, block):
         b = min(a + block, nt + 1)
-        steps = np.arange(a, b)[:, None]
         rows = psi[a:b]
-        np.square(_profile_at(initial_profile, x_grid - steps * drho, t_grid[a:b, None]),
+        np.square(_profile_at(initial_profile, x_grid - rho[a:b, None], t_grid[a:b, None]),
                   out=rows)
         rows += 2.0 * j_acc[a:b, None]
         np.sqrt(rows, out=rows)

@@ -468,8 +468,13 @@ def subordinate(spec: HermiteSpec, n: int, horizon: float, seed: int) -> SampleP
 
     The driver X is simulated on a fine uniform grid covering the warped
     horizon T^(1/2H), _OVERSAMPLE times denser than the output grid needs,
-    and each output time reads the nearest fine-grid sample.  Var S(t) = t
-    exactly in law, but increments are not stationary.
+    and each output time reads the nearest fine-grid sample.  Increments
+    are not stationary, and Var S(t) is not exactly t: S(t) is X(tau), tau
+    the fine-grid time within half a fine step h of t^(1/2H), so
+    Var S(t) = tau^(2H) and |Var S(t)/t - 1| <= (1 + h n^(1/2H)/2)^(2H) - 1,
+    the bound at t = 1/n.  With T = 1 the worst error is 3.0e-3 at
+    H = 0.7, n = 1024 (bound 1.2e-2) and 1.2e-2 at H = 0.95, n = 64
+    (bound 1.7e-2).
     """
     times = np.arange(_grid_steps(n, horizon) + 1) / n
     # the grid ends at ceil(n*T)/n, past T when n*T is not whole

@@ -280,6 +280,10 @@ def test_futures_field_export(tmp_path, cfg_file):
     payload = _read_json(out, "futures.json")
     assert payload["residual_sup"] < 0.05
     assert payload["grid"] == 24
+    # I(T) and its change from the march at half the steps (12)
+    assert math.isfinite(payload["integral_T"]) and payload["integral_T"] > 0
+    change = payload["integral_T_half_step_change"]
+    assert math.isfinite(change) and change < 1e-4
 
 
 def test_curve_outputs(tmp_path, cfg_file):

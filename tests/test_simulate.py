@@ -399,7 +399,8 @@ def test_hermite_path_warns_for_tiny_n():
 
 
 def test_subordinated_market_time_variance():
-    # S(t) = X(t^(1/2H)) has Var S(t) = t exactly in law
+    # S(t) = X(t^(1/2H)) has Var S(t) = t up to the nearest-sample error
+    # that the next test bounds
     spec = HermiteSpec(0.8, 1)
     at_half, at_one = [], []
     for seed in range(1500):
@@ -412,6 +413,25 @@ def test_subordinated_market_time_variance():
     s = subordinate(spec, 32, 1.0, 1)
     assert s.method == "subordinated"
     assert s.times[0] == 0.0 and s.values[0] == 0.0
+
+
+@pytest.mark.parametrize("hurst, n, worst", [(0.7, 1024, 3.0e-3), (0.95, 64, 1.2e-2)])
+def test_subordinate_variance_error_from_the_times_read(hurst, n, worst):
+    # S(t) reads the driver at the grid time tau nearest t^(1/2H), so
+    # Var S(t) = tau^(2H); tau is within half a driver step h of t^(1/2H),
+    # which bounds |tau^(2H)/t - 1| by (1 + h n^(1/2H)/2)^(2H) - 1
+    times = np.arange(n + 1) / n
+    fine_n = max(64, math.ceil(simulate._OVERSAMPLE * n))
+    tau = np.rint(times ** (1.0 / (2.0 * hurst)) * fine_n) / fine_n
+    # the driver samples that subordinate returns are the ones at tau
+    spec = HermiteSpec(hurst, 1)
+    driver = simulate_hermite_path(spec, fine_n, 1.0, 5)
+    assert np.array_equal(subordinate(spec, n, 1.0, 5).values,
+                          driver.values[np.rint(tau * fine_n).astype(int)])
+    err = np.max(np.abs(tau[1:] ** (2.0 * hurst) / times[1:] - 1.0))
+    bound = (1.0 + n ** (1.0 / (2.0 * hurst)) / (2.0 * fine_n)) ** (2.0 * hurst) - 1.0
+    assert err <= bound
+    assert err == pytest.approx(worst, rel=0.05)
 
 
 def test_subordinate_grid_past_the_horizon():
