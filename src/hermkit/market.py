@@ -33,7 +33,8 @@ class BasicRate:
 
     ``constant``: parameters = (value,).
     ``polynomial``: parameters = coefficients, low order first, on the
-    working horizon [0, ``horizon``] (the one kind that takes a horizon).
+    working horizon [0, ``horizon``] (the one kind that takes a horizon);
+    evaluating it, or its derivative, past the horizon raises.
     ``table``: parameters = (times, values), linearly interpolated and
     clamped outside the tabulated range.
 
@@ -102,7 +103,7 @@ class BasicRate:
         return float(vals.min()), float(vals.max())
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = self._on_horizon(t)
         if self.kind == "constant":
             out = np.full_like(t_arr, self.parameters[0])
         elif self.kind == "polynomial":
@@ -116,7 +117,7 @@ class BasicRate:
         """Exact d(rate)/dt.  A table rate has the slope of the segment that
         starts at t: the right derivative at a node, and 0 where the table
         is clamped (before its first node, and from its last one on)."""
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = self._on_horizon(t)
         if self.kind == "constant":
             out = np.zeros_like(t_arr)
         elif self.kind == "polynomial":
@@ -130,19 +131,45 @@ class BasicRate:
             out = np.where(inside, slopes[np.clip(seg, 0, slopes.size - 1)], 0.0)
         return float(out) if np.isscalar(t) else out
 
+    def _on_horizon(self, t) -> np.ndarray:
+        """``t`` as a float array.  A polynomial rate raises ``ValueError``
+        naming the first time past its horizon (or NaN): its bounds hold
+        only on [0, horizon], and times before 0 are rejected by every
+        rate integral that reads it."""
+        t_arr = np.asarray(t, dtype=float)
+        if self.horizon is not None and not (t_arr <= self.horizon).all():
+            late = t_arr[~(t_arr <= self.horizon)][0]
+            raise ValueError(f"polynomial rate holds up to its horizon {self.horizon}; "
+                             f"got t={late}")
+        return t_arr
+
 
 def cumulative_rate(spec: HermiteSpec, rate: BasicRate, t):
     """Cumulative rate D * rate(t) * t^(2H) generated by a basic rate.
 
     This is the full integral of the kernel-weighted rate field against the
     kernel, collapsed by the norm identity ||K_t||^2 = ||K_1||^2 t^(2H).
-    Accepts scalar or array t >= 0; exactly 0 at t = 0.
+    Accepts scalar or array t >= 0; exactly 0 at t = 0.  Raises
+    ``ValueError`` on a negative or NaN time, and past a polynomial rate's
+    horizon.  t^(2H) is numpy's array power even for a scalar t (a 0-d
+    array), so a time gives the same bits alone and inside an array:
+    Python's scalar power differs from it in the last bit for about 5 % of
+    inputs.
     """
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr >= 0):
+    if not (t_arr >= 0).all():
         raise ValueError("cumulative rate requires t >= 0")
     out = d_constant(spec) * rate(t_arr) * t_arr ** (2.0 * spec.hurst)
     return float(out) if np.isscalar(t) else out
+
+
+def _rate_rise(spec: HermiteSpec, rate: BasicRate, t: float, u: float) -> float:
+    """The cumulative-rate rise cumulative_rate(u) - cumulative_rate(t)
+    from scalar time t to scalar time u, as a Python float, from one
+    cumulative_rate call on the pair (t, u): the same bits as two scalar
+    calls, with one call's fixed numpy cost."""
+    ends = cumulative_rate(spec, rate, np.array((t, u), dtype=float))
+    return float(ends[1] - ends[0])
 
 
 def instantaneous_rate(spec: HermiteSpec, rate: BasicRate, t):

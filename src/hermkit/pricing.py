@@ -30,6 +30,7 @@ from .market import (
     AssetPath,
     BasicRate,
     MarketSpec,
+    _rate_rise,
     cumulative_rate,
     instantaneous_rate,
 )
@@ -185,7 +186,10 @@ class PriceField:
     values: np.ndarray
 
     def at(self, t: float, x: float) -> float:
-        """Bilinear interpolation on the field grid."""
+        """Bilinear interpolation on the field grid, clamped outside it.
+        A NaN time or price raises ``ValueError``."""
+        if math.isnan(t) or math.isnan(x):
+            raise ValueError(f"price field lookup needs a time and a price; got t={t}, x={x}")
         row = np.array([np.interp(t, self.times, self.values[:, j])
                         for j in range(self.prices.size)])
         return float(np.interp(x, self.prices, row))
@@ -245,21 +249,22 @@ def price_characteristics(
     """Exact transport solution: discounted payoff along the characteristic.
 
     Returns Lambda(t, T) * payoff(x_j * exp(int_t^T (r - delta_j))), with
-    every rate integral taken as an exact cumulative-rate difference.
+    every rate integral taken as an exact cumulative-rate rise from t to the
+    horizon.  A one-asset market hands the payoff one Python float.
     """
     if horizon < t:
         raise ValueError("horizon must not precede the valuation time")
     x_vec = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(x_vec > 0):
+    if not (x_vec > 0).all():
         raise ValueError("price coordinates must be strictly positive")
     if x_vec.size != market.d:
         raise ValueError(f"price vector has {x_vec.size} coordinates; need {market.d}")
-    # each rate's cumulative-rate rise from t to the horizon, one call per rate
-    ends = np.array([t, horizon], dtype=float)
-    dr, *dd = (np.diff(cumulative_rate(market.spec, q, ends))[0]
+    dr, *dd = (_rate_rise(market.spec, q, t, horizon)
                for q in (market.riskless, *market.dividends))
-    growth = np.array([math.exp(dr - d) for d in dd])
-    args = x_vec * growth if market.d > 1 else float(x_vec[0] * growth[0])
+    if market.d == 1:
+        args = float(x_vec[0]) * math.exp(dr - dd[0])
+    else:
+        args = x_vec * np.array([math.exp(dr - d) for d in dd])
     return math.exp(-dr) * float(payoff(args))
 
 
@@ -271,10 +276,14 @@ def price_fd(payoff: Payoff, market: MarketSpec, grid: PricingGrid) -> PriceFiel
     differences, and each new row is the discounted linear interpolation of
     the previous one at the departure point (with the unit Courant number an
     exact shift, below it the standard first-order upwind).  Every value is
-    a discounted convex combination, so any step size is stable;
-    characteristics entering through a boundary take their exact discounted
-    payoff values.  Only single-asset markets are supported on the grid
-    route.
+    a discounted convex combination, so any step size is stable.
+
+    Characteristics entering through a boundary take their exact discounted
+    payoff values.  Those departures do not depend on the field, so they
+    are found and priced before the march, in blocks of rows of at most
+    2^15 grid points with one payoff call per block; in each row they form
+    a run at one end of the grid, and the march interpolates only between
+    them.  Only single-asset markets are supported on the grid route.
     """
     if market.d != 1:
         raise ValueError("grid pricing works in one price dimension; "
@@ -286,25 +295,36 @@ def price_fd(payoff: Payoff, market: MarketSpec, grid: PricingGrid) -> PriceFiel
         return PriceField(times=np.array([grid.t_start]), prices=np.exp(y),
                           values=np.atleast_2d(vals))
 
-    nt = grid.nt
+    nt, nx = grid.nt, grid.nx
     times = np.linspace(grid.t_start, grid.t_end, nt + 1)
     rc = cumulative_rate(spec, market.riskless, times)
     dc = cumulative_rate(spec, market.dividends[0], times)
     shifts = np.diff(rc - dc)
 
-    g = np.empty((nt + 1, grid.nx))
+    g = np.empty((nt + 1, nx))
     g[nt] = payoff(np.exp(y))
-    total_rc, total_dc = rc[nt], dc[nt]
+    # the departures y + shifts[k] rise with the node index, so those below
+    # y[0] form a prefix [0, lo[k]) of row k and those above y[-1] a suffix
+    # [hi[k], nx); both take the payoff at the foot, discounted over the
+    # whole rise from t_k to the horizon
+    lo, hi = np.empty(nt, dtype=np.intp), np.empty(nt, dtype=np.intp)
+    rise_r, rise_d = rc[nt] - rc[:nt], dc[nt] - dc[:nt]
+    disc_end = np.array([math.exp(-r) for r in rise_r.tolist()])
+    block = max(1, _CHUNK_POINTS // nx)
+    for a in range(0, nt, block):
+        dep = y + shifts[a:a + block, None]
+        below, above = dep < y[0], dep > y[-1]
+        lo[a:a + block] = below.sum(axis=1)
+        hi[a:a + block] = nx - above.sum(axis=1)
+        rows, cols = np.nonzero(below | above)
+        if rows.size:
+            rows += a
+            g[rows, cols] = disc_end[rows] * payoff(
+                np.exp(y[cols] + (rise_r[rows] - rise_d[rows])))
+    disc_step = [math.exp(-r) for r in np.diff(rc).tolist()]
     for k in range(nt - 1, -1, -1):
-        dep = y + shifts[k]
-        disc = math.exp(-(rc[k + 1] - rc[k]))
-        g[k] = disc * np.interp(dep, y, g[k + 1])
-        outside = (dep < y[0]) | (dep > y[-1])
-        if np.any(outside):
-            full_shift = (total_rc - rc[k]) - (total_dc - dc[k])
-            g[k][outside] = math.exp(-(total_rc - rc[k])) * payoff(
-                np.exp(y[outside] + full_shift)
-            )
+        i, j = lo[k], hi[k]
+        g[k, i:j] = disc_step[k] * np.interp(y[i:j] + shifts[k], y, g[k + 1])
     return PriceField(times=times, prices=np.exp(y), values=g)
 
 
@@ -362,11 +382,7 @@ def bond_price(market: MarketSpec, t: float, maturity: float) -> float:
         raise ValueError("anchor time must be nonnegative")
     if maturity < t:
         raise ValueError("maturity precedes the anchor time")
-    spec = market.spec
-    return math.exp(
-        -(cumulative_rate(spec, market.riskless, maturity)
-          - cumulative_rate(spec, market.riskless, t))
-    )
+    return math.exp(-_rate_rise(market.spec, market.riskless, t, maturity))
 
 
 def term_structure(market: MarketSpec, anchors, maturities) -> TermStructure:
@@ -410,11 +426,7 @@ def forward_value(
         raise ValueError("valuation time precedes the inception time")
     if maturity < t:
         raise ValueError("maturity precedes the inception time")
-    spec = market.spec
-    growth = math.exp(
-        cumulative_rate(spec, market.riskless, u)
-        - cumulative_rate(spec, market.riskless, t)
-    )
+    growth = math.exp(_rate_rise(market.spec, market.riskless, t, u))
     return -path.at(u) + path.at(t) * growth
 
 

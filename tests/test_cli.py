@@ -242,6 +242,19 @@ def test_bond_discount_closed_form(tmp_path, cfg_file):
     assert payload["discount"] == pytest.approx(math.exp(-D_CONST * 0.05), rel=1e-12)
 
 
+def test_bond_past_a_polynomial_horizon_exits_2(tmp_path, capsys):
+    # the rate 0.05 - 0.01 t is riskless on its horizon [0, 2]; the bond to
+    # t = 10 used to be written with discount 314.7
+    cfg = tmp_path / "poly.cfg"
+    cfg.write_text("[process]\nhurst = 0.7\norder = 1\n\n[riskless]\nkind = polynomial\n"
+                   "coeffs = 0.05, -0.01\nhorizon = 2.0\n")
+    code = main(["price", "bond", "--T", "10", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "horizon 2.0; got t=10.0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bond.json").exists()
+
+
 def test_perpetual_reports_beta_and_price(tmp_path, cfg_file):
     out = tmp_path / "out"
     code = main(["price", "perpetual", "--alpha", "0.4", "--t", "0.0",

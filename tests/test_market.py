@@ -83,6 +83,21 @@ def test_polynomial_rate_dip_between_samples_is_not_riskless():
                    volatility=np.array([[0.2]]), initial_prices=(1.0,))
 
 
+def test_polynomial_rate_past_its_horizon_raises():
+    # r(t) = 0.05 - 0.01 t has bounds (0.03, 0.05) on [0, 2] but turns
+    # negative past t = 5, where it used to be read without complaint
+    rate = BasicRate.polynomial([0.05, -0.01], horizon=2.0)
+    assert rate(2.0) == pytest.approx(0.03) and rate.derivative(2.0) == -0.01
+    late = r"holds up to its horizon 2\.0; got t="
+    for call in (lambda: rate(2.5), lambda: rate.derivative(np.array([1.0, 3.0])),
+                 lambda: cumulative_rate(SPEC, rate, np.array([0.5, 10.0])),
+                 lambda: instantaneous_rate(SPEC, rate, 20.0), lambda: rate(np.nan)):
+        with pytest.raises(ValueError, match=late):
+            call()
+    with pytest.raises(ValueError, match=late + r"3\.0"):
+        rate.derivative(np.array([1.0, 3.0, 4.0]))
+
+
 def test_cumulative_rate_form_and_anchor():
     r = BasicRate.constant(0.05)
     t = np.array([0.0, 0.5, 1.0, 2.0])

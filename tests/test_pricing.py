@@ -1,5 +1,6 @@
 """Perpetual derivatives, bonds, forwards and the futures field solver."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -90,6 +91,10 @@ def test_price_field_bilinear_lookup():
         values=np.array([[0.0, 2.0], [4.0, 6.0]]),
     )
     assert field.at(0.5, 2.0) == pytest.approx(3.0)
+    # a NaN time or price used to give NaN without complaint
+    for t, x in ((np.nan, 2.0), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="price field lookup"):
+            field.at(t, x)
 
 
 # --- transport equation ----------------------------------------------------
@@ -235,6 +240,120 @@ def test_price_fd_rejects_multi_asset_and_degenerate_window():
     assert np.allclose(flat.values[0], flat.prices)
 
 
+def _bump(x):
+    return np.exp(-0.5 * (np.log(x) - 0.1) ** 2 / 0.36)
+
+
+def _price_fd_oracle(payoff, market, grid):
+    # the per-step loop price_fd ran before it priced the departures that
+    # leave the grid in blocks ahead of the march
+    y = np.linspace(math.log(grid.x_lo), math.log(grid.x_hi), grid.nx)
+    nt = grid.nt
+    times = np.linspace(grid.t_start, grid.t_end, nt + 1)
+    rc = cumulative_rate(market.spec, market.riskless, times)
+    dc = cumulative_rate(market.spec, market.dividends[0], times)
+    shifts = np.diff(rc - dc)
+    g = np.empty((nt + 1, grid.nx))
+    g[nt] = payoff(np.exp(y))
+    for k in range(nt - 1, -1, -1):
+        dep = y + shifts[k]
+        g[k] = math.exp(-(rc[k + 1] - rc[k])) * np.interp(dep, y, g[k + 1])
+        outside = (dep < y[0]) | (dep > y[-1])
+        if np.any(outside):
+            full_shift = (rc[nt] - rc[k]) - (dc[nt] - dc[k])
+            g[k][outside] = math.exp(-(rc[nt] - rc[k])) * payoff(
+                np.exp(y[outside] + full_shift))
+    return g
+
+
+def _unit_courant_grid(market, nx, nt):
+    # a price grid whose spacing is the first step's log-price shift
+    t = np.linspace(0.0, 1.0, nt + 1)[:2]
+    rc = cumulative_rate(market.spec, market.riskless, t)
+    dc = cumulative_rate(market.spec, market.dividends[0], t)
+    shift = abs(float(np.diff(rc - dc)[0]))
+    return PricingGrid(0.5, 0.5 * math.exp(shift * (nx - 1)), nx, nt, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("payoff", [
+    pytest.param(Payoff.from_callable(_bump), id="callable"),
+    pytest.param(Payoff.power(1.5), id="power"),
+    pytest.param(Payoff.from_table([0.6, 0.9, 1.4, 2.5], [0.0, 1.0, 0.3, 2.0]), id="table"),
+])
+@pytest.mark.parametrize("delta, grid", [
+    pytest.param(0.02, PricingGrid(0.5, 2.0, 300, 400, 0.0, 1.0), id="four-blocks-upper"),
+    pytest.param(0.3, PricingGrid(0.5, 2.0, 300, 400, 0.2, 1.3), id="four-blocks-lower"),
+    pytest.param(0.3, PricingGrid(0.5, 2.0, 64, 4, 0.0, 1.0), id="courant-above-one"),
+    pytest.param(0.02, PricingGrid(0.5, 2.0, 2, 3, 0.0, 1.0), id="two-nodes"),
+    pytest.param(0.02, None, id="unit-courant-one-step"),
+    pytest.param(0.3, None, id="unit-courant-three-steps"),
+])
+def test_price_fd_blocks_match_the_per_step_loop(payoff, delta, grid):
+    m = _market(r=0.06, delta=delta, spec=HermiteSpec(0.8, 2))
+    if grid is None:
+        grid = _unit_courant_grid(m, 40, 1 if delta < 0.06 else 3)
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return payoff(x)
+
+    field = price_fd(Payoff.from_callable(counted), m, grid)
+    assert np.array_equal(field.values, _price_fd_oracle(payoff, m, grid))
+    # the terminal row, then at most one call per block of rows
+    rows_per_block = max(1, (1 << 15) // grid.nx)
+    assert 2 <= len(calls) <= 1 + -(-grid.nt // rows_per_block)
+    assert calls[0] == grid.nx
+
+
+def test_pricing_outputs_are_frozen():
+    # every output bit of the characteristic, bond, forward and grid prices
+    # for three rate kinds, two Hurst indices and two orders, with dividends
+    # below the rate (departures leave the grid at its top) and above it
+    # (at its bottom); the digest was taken before any of these solvers was
+    # tuned for speed, so a faster route must reproduce it exactly.  It was
+    # frozen with numpy 2.4.6 on an x86-64 CPU with AVX-512: numpy's SIMD
+    # exp, power and interp loops may round a last bit differently on other
+    # CPUs or numpy versions, where a new digest alone is no regression
+    # (test_price_fd_blocks_match_the_per_step_loop checks price_fd against
+    # an in-test oracle on any machine)
+    digest = hashlib.sha256()
+
+    def feed(values):
+        digest.update(np.ascontiguousarray(values, dtype=float).tobytes())
+
+    rates = (
+        BasicRate.constant(0.05),
+        BasicRate.polynomial((0.05, 0.01, -0.002), horizon=2.0),
+        BasicRate.table((0.0, 0.5, 1.0, 2.0), (0.05, 0.06, 0.055, 0.065)),
+    )
+    bump, root = Payoff.from_callable(_bump), Payoff.power(0.5)
+    path = AssetPath(times=np.linspace(0.0, 2.0, 9), prices=np.linspace(1.0, 1.4, 9))
+    for hurst in (0.6, 0.9):
+        for order in (1, 2):
+            for rate in rates:
+                for delta in (0.01, 0.12):
+                    m = MarketSpec(spec=HermiteSpec(hurst, order), riskless=rate,
+                                   drifts=(BasicRate.constant(0.08),),
+                                   volatility=np.array([[0.2]]), initial_prices=(1.0,),
+                                   dividends=(BasicRate.constant(delta),))
+                    field = price_fd(bump, m, PricingGrid(0.5, 2.0, 33, 24, 0.3, 1.7))
+                    feed(field.values)
+                    feed([price_characteristics(p, m, 0.3, 1.7, x)
+                          for p in (bump, root) for x in field.prices])
+                    feed([bond_price(m, 0.3, 1.7), bond_price(m, 0.0, 1.7),
+                          forward_value(m, path, 0.3, 1.5, 1.1),
+                          forward_value(m, path, 0.3, 1.5, 1.9)])
+    two = MarketSpec(spec=SPEC, riskless=rates[2],
+                     drifts=(BasicRate.constant(0.08), BasicRate.constant(0.07)),
+                     volatility=np.eye(2) * 0.2, initial_prices=(1.0, 1.0),
+                     dividends=(BasicRate.constant(0.01), rates[1]))
+    feed([price_characteristics(Payoff.power([0.5, 1.5]), two, 0.3, 1.7, [x, 2.0 - x])
+          for x in np.linspace(0.5, 1.5, 11)])
+    assert digest.hexdigest() == (
+        "c83da50c99d6ae22c8ed18066f5ffc44680af6d36426a6ca1e896cc5beab8c24")
+
+
 # --- bond exponent ----------------------------------------------------------
 
 
@@ -310,6 +429,19 @@ def test_bond_price_identities():
         bond_price(m, -0.1, 1.0)
     with pytest.raises(ValueError):
         bond_price(m, 1.0, 0.5)
+
+
+def test_polynomial_riskless_rate_past_its_horizon_raises():
+    # accepted as riskless on [0, 2], but r(t) < 0 past t = 5: bonds to
+    # t = 10 and 20 used to read 314.7 and 6.0e19
+    rate = BasicRate.polynomial([0.05, -0.01], horizon=2.0)
+    m = replace(_market(spec=HermiteSpec(0.7, 1)), riskless=rate)
+    assert 0.0 < bond_price(m, 0.0, 2.0) < 1.0
+    for maturity in (10, 20):
+        with pytest.raises(ValueError, match=rf"horizon 2\.0; got t={maturity}\.0"):
+            bond_price(m, 0, maturity)
+    with pytest.raises(ValueError, match="horizon 2.0"):
+        price_fd(Payoff.power(1.0), m, PricingGrid(0.5, 2.0, 8, 8, 0.0, 2.5))
 
 
 def test_term_structure_grid():
