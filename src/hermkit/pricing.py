@@ -21,6 +21,7 @@ cumulative-rate clock.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -156,9 +157,10 @@ class TermStructure:
 class PricingGrid:
     """Price x time grid for the d=1 grid solvers.
 
-    ``x_lo``/``x_hi`` bound the price coordinate (positive); ``nx`` price
-    nodes, ``nt`` time steps between ``t_start`` and ``t_end`` (equal
-    endpoints yield the trivial single-row field).
+    ``x_lo``/``x_hi`` bound the price coordinate (positive, finite); ``nx``
+    price nodes, ``nt`` time steps (integers) between the finite times
+    ``t_start`` and ``t_end`` (equal endpoints yield the trivial single-row
+    field).
     """
 
     x_lo: float
@@ -169,6 +171,14 @@ class PricingGrid:
     t_end: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("x_lo", "x_hi", "t_start", "t_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite; got {value}")
+        for name in ("nx", "nt"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
         if not (0.0 < self.x_lo < self.x_hi):
             raise ValueError("need 0 < x_lo < x_hi")
         if self.nx < 2 or self.nt < 1:

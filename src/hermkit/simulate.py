@@ -13,9 +13,9 @@ One path engine, one time change, one integration tool:
   FloatingPointError.  :func:`gen_fgn` is one row of that noise as an
   array; :func:`simulate_hermite_path` (and :func:`simulate_fbm_exact` at
   k = 1) is the one-row path as a :class:`SamplePath`;
-* :func:`subordinate` — the market-time process S(t) = X(t^(1/2H)), whose
-  variance is exactly t (self-similarity index 1/2, increments not
-  stationary);
+* :func:`subordinate` — the market-time process S(t) = X(t^(1/2H)), read
+  exactly off the driver's own grid: S at t_j = (j/n)^(2H) is X at j/n
+  (self-similarity index 1/2, increments not stationary);
 * :func:`stratonovich_integral` / :func:`chain_rule_residual` — forward-type
   Riemann sums with the integrand evaluated at an arbitrary point
   (1-delta)*t_k + delta*t_{k+1} of each subinterval, and the first-order
@@ -28,19 +28,19 @@ seed with :func:`_run_seeds`, the one home of that rule and its limits.
 
 Long rows run on every core.  When a chunk holds a single row (more than
 _CHUNK_POINTS / 4 steps), a call has at least two chunks and at least two
-CPUs are usable, the chunks are filled on worker threads, one per usable
-CPU, each with at most one chunk in flight; they are still yielded in seed
-order.  The normal draws and the FFT release the GIL, and each row keeps
-its own generator, so the values are the same bits as on the calling
-thread, where every other call runs.
+CPUs are usable, the chunks are filled on a standard-library thread pool,
+one worker per usable CPU and at most one chunk in flight per worker; they
+are still yielded in seed order.  The normal draws and the FFT release the
+GIL, and each row keeps its own generator, so the values are the same bits
+as on the calling thread, where every other call runs.
 """
 
 from __future__ import annotations
 
 import collections
 import math
+import numbers
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -104,8 +104,10 @@ class StratonovichConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.evaluation_point <= 1.0):
             raise ValueError("evaluation_point must lie in [0, 1]")
-        if self.refinement is not None and self.refinement < 1:
-            raise ValueError("refinement must be a positive integer")
+        refinement = self.refinement
+        if refinement is not None and not (isinstance(refinement, numbers.Integral)
+                                           and refinement >= 1):
+            raise ValueError(f"refinement must be a positive integer; got {refinement!r}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -152,8 +154,8 @@ def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray:
     """
     if not (0.5 < hurst_prime < 1.0):
         raise ValueError(f"hurst_prime must lie in (1/2, 1); got {hurst_prime}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 draws; got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1 draws; got {n}")
     rho = fgn_covariance(hurst_prime, np.arange(n + 1))
     row = np.concatenate([rho[:-1], rho[:0:-1]])
     lam = np.fft.fft(row).real
@@ -209,16 +211,6 @@ def _fgn_into(scales: np.ndarray, seeds, w: np.ndarray, out: np.ndarray) -> None
     out[...] = re[:, :n]
 
 
-def _fgn_rows(hurst_prime: float, n: int, seeds, out: np.ndarray | None = None) -> np.ndarray:
-    """One row of n fGn draws per seed, each exactly :func:`gen_fgn`'s, into
-    ``out`` (a new (len(seeds), n) array by default)."""
-    scales = _circulant_scales(hurst_prime, n)
-    if out is None:
-        out = np.empty((len(seeds), n))
-    _fgn_into(scales, seeds, _fgn_scratch(len(seeds), n), out)
-    return out
-
-
 def gen_fgn(hurst_prime: float, n: int, seed: int) -> np.ndarray:
     """n draws of fractional Gaussian noise by circulant embedding.
 
@@ -229,8 +221,9 @@ def gen_fgn(hurst_prime: float, n: int, seed: int) -> np.ndarray:
     negative beyond roundoff raises FloatingPointError before any normal is
     drawn.
     """
+    scales = _circulant_scales(hurst_prime, n)
     out = np.empty(n)
-    _fgn_rows(hurst_prime, n, [seed], out[np.newaxis])
+    _fgn_into(scales, [seed], _fgn_scratch(1, n), out[np.newaxis])
     return out
 
 
@@ -325,63 +318,35 @@ def _usable_cpus() -> int:
 
 
 def _threaded_chunks(fill, blocks, scratch, m: int):
-    """Yield one filled (len(block), m+1) chunk per block, in order, each
-    filled by ``fill(block, scratch[k], paths)`` on worker thread k.
+    """Yield one filled (len(block), m+1) chunk per block, in order, chunk i
+    filled by ``fill(block, scratch[i % w], paths)`` on a pool of
+    w = len(scratch) worker threads.
 
-    There is one worker per scratch array.  The caller allocates every chunk
-    and hands a worker its next block only once it has taken the worker's
-    last chunk, so each worker has at most one chunk in flight.  A worker's
-    exception is raised here when its chunk's turn comes; closing the
-    generator waits for the chunks in flight and stops every worker.
+    Chunk i is allocated and submitted only once chunk i - w is done, so at
+    most w chunks are in flight and no two share a scratch array.  A
+    worker's exception is raised here, with its own type and message, when
+    its chunk's turn comes; closing the generator waits for the chunks in
+    flight and joins every worker.
     """
-    go = [threading.Semaphore(0) for _ in scratch]
-    done = [threading.Semaphore(0) for _ in scratch]
-    jobs: list = [None] * len(scratch)  # (block, paths), None stops the worker
-    errors: list = [None] * len(scratch)
+    # concurrent.futures imports logging; only long rows pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work(k):
-        while True:
-            go[k].acquire()
-            if jobs[k] is None:
-                return
-            try:
-                fill(jobs[k][0], scratch[k], jobs[k][1])
-            except BaseException as exc:
-                errors[k] = exc
-            done[k].release()
+    def take(chunk):
+        future, paths = chunk
+        future.result()
+        return paths
 
-    def hand(k) -> bool:
-        block = next(blocks, None)
-        if block is None:
-            return False
-        jobs[k] = (block, np.empty((len(block), m + 1)))
-        go[k].release()
-        return True
-
-    threads = []
-    busy = collections.deque()  # workers with a chunk in flight, in block order
-    try:
-        for k in range(len(scratch)):
-            threads.append(threading.Thread(target=work, args=(k,), daemon=True))
-            threads[k].start()
-            if hand(k):
-                busy.append(k)
-        while busy:
-            k = busy.popleft()
-            done[k].acquire()
-            if errors[k] is not None:
-                raise errors[k]
-            paths = jobs[k][1]
-            if hand(k):
-                busy.append(k)
-            yield paths
-    finally:
-        for k in busy:
-            done[k].acquire()
-        for k, thread in enumerate(threads):
-            jobs[k] = None
-            go[k].release()
-            thread.join()
+    w = len(scratch)
+    with ThreadPoolExecutor(w) as pool:
+        flight = collections.deque()  # (future, paths) in block order
+        for i, block in enumerate(blocks):
+            done = take(flight.popleft()) if i >= w else None
+            paths = np.empty((len(block), m + 1))
+            flight.append((pool.submit(fill, block, scratch[i % w], paths), paths))
+            if done is not None:
+                yield done
+        while flight:
+            yield take(flight.popleft())
 
 
 def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
@@ -389,12 +354,12 @@ def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
 
     Each block holds at most _CHUNK_POINTS embedded points (at least one
     row), so a caller reducing block by block never holds more.  Blocks of
-    one row (m > _CHUNK_POINTS / 4 steps) are filled on worker threads when
-    there are at least two blocks and two usable CPUs: one worker per usable
-    CPU, each with at most one block in flight, and the blocks are still
-    yielded in seed order.  Shorter rows are filled on the calling thread.
-    Either way every row is drawn from its own seed's generator, so the
-    values are the same bits.
+    one row (m > _CHUNK_POINTS / 4 steps) are filled on a thread pool
+    (:func:`_threaded_chunks`) when there are at least two blocks and two
+    usable CPUs: one worker per usable CPU, at most one block in flight per
+    worker, and the blocks are still yielded in seed order.  Shorter rows
+    are filled on the calling thread.  Either way every row is drawn from
+    its own seed's generator, so the values are the same bits.
     """
     m = _grid_steps(n, horizon)
     if len(seeds) == 0:
@@ -460,42 +425,19 @@ def simulate_fbm_exact(hurst: float, n: int, horizon: float, seed: int) -> Sampl
     return simulate_hermite_path(HermiteSpec(hurst, 1), n, horizon, seed)
 
 
-_OVERSAMPLE = 8
-
-
 def subordinate(spec: HermiteSpec, n: int, horizon: float, seed: int) -> SamplePath:
-    """Market-time process S(t) = X(t^(1/2H)) on the uniform t-grid k/n.
+    """Market-time process S(t) = X(t^(1/2H)) on the grid t_j = (j/n)^(2H).
 
-    The driver X is simulated on a fine uniform grid covering the warped
-    horizon T^(1/2H), _OVERSAMPLE times denser than the output grid needs,
-    and each output time reads the nearest fine-grid sample.  Increments
-    are not stationary, and Var S(t) is not exactly t: S(t) is X(tau), tau
-    the fine-grid time within half a fine step h of t^(1/2H), so
-    Var S(t) = tau^(2H) and |Var S(t)/t - 1| <= (1 + h n^(1/2H)/2)^(2H) - 1,
-    the bound at t = 1/n.  With T = 1 the worst error is 3.0e-3 at
-    H = 0.7, n = 1024 (bound 1.2e-2) and 1.2e-2 at H = 0.95, n = 64
-    (bound 1.7e-2).
+    The driver X is :func:`simulate_hermite_path` on the grid j/n covering
+    the warped horizon T^(1/2H), and S(t_j) is exactly its value at j/n, so
+    S has the driver's law at every grid time (Var S(t_j) = t_j exactly at
+    order 1).  n counts driver steps per unit of X time; the grid ends at
+    (ceil(n T^(1/2H))/n)^(2H) >= T.  Increments are not stationary.
     """
-    times = np.arange(_grid_steps(n, horizon) + 1) / n
-    # the grid ends at ceil(n*T)/n, past T when n*T is not whole
-    end = float(times[-1])
-    warped_horizon = end ** (1.0 / (2.0 * spec.hurst))
-    fine_n = max(64, math.ceil(_OVERSAMPLE * n * end / warped_horizon))
-    driver = simulate_hermite_path(spec, fine_n, warped_horizon, seed)
-    warped = times ** (1.0 / (2.0 * spec.hurst))
-    if warped[-1] > driver.times[-1] * (1.0 + 1e-12):
-        raise ValueError("driver path is shorter than the warped horizon")
-    # searched, not computed as floor(w * fine_n + 1/2): the product's
-    # rounding picks a different sample in about 2 of 10^6 lookups
-    idx = np.clip(
-        np.searchsorted(driver.times, warped, side="left"), 0, driver.times.size - 1
-    )
-    back = np.maximum(idx - 1, 0)
-    use_back = np.abs(driver.times[back] - warped) < np.abs(driver.times[idx] - warped)
-    idx = np.where(use_back, back, idx)
-    values = driver.values[idx].copy()
-    values[0] = 0.0  # warped[0] = 0 maps to the driver origin exactly
-    return SamplePath(times, values, spec, "subordinated", seed)
+    _grid_steps(n, horizon)  # before warping: a negative T ** (1/2H) is complex
+    two_h = 2.0 * spec.hurst
+    driver = simulate_hermite_path(spec, n, horizon ** (1.0 / two_h), seed)
+    return SamplePath(driver.times**two_h, driver.values, spec, "subordinated", seed)
 
 
 def _riemann_sites(f: np.ndarray, x: np.ndarray, config: StratonovichConfig):

@@ -420,6 +420,16 @@ def test_import_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_starts_no_thread_pool(tmp_path):
+    # only long Monte Carlo rows import concurrent.futures, and with it logging
+    proc = _fresh_python(
+        "import sys, hermkit.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # one command per subcommand, as in the cold command-line benchmark, plus an
 # order-3 kernel
 _SCIPY_FREE_COMMANDS = [

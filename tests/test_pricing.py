@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,13 @@ def test_pricing_grid_validation():
         PricingGrid(1.0, 2.0, 1, 8)
     with pytest.raises(ValueError):
         PricingGrid(1.0, 2.0, 8, 8, t_start=0.5, t_end=0.2)
+    # infinite bounds or times and fractional counts are named, not priced
+    for args, message in [((0.5, math.inf, 8, 8), "x_hi must be finite; got inf"),
+                          ((0.5, 2.0, 8, 8, 0.0, math.inf), "t_end must be finite; got inf"),
+                          ((0.5, 2.0, 8.5, 8), "nx must be an integer; got 8.5"),
+                          ((0.5, 2.0, 8, 2.5), "nt must be an integer; got 2.5")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PricingGrid(*args)
 
 
 def test_price_field_bilinear_lookup():
