@@ -289,7 +289,9 @@ class MarketSpec:
         return self.volatility_times is None
 
     def sigma(self, t: float) -> np.ndarray:
-        """Volatility matrix at time t."""
+        """Volatility matrix at time t; a NaN time raises ValueError."""
+        if math.isnan(t):
+            raise ValueError(f"volatility time must not be NaN; got {t}")
         if self.volatility_times is None:
             return self.volatility
         vt = self.volatility_times

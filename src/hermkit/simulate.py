@@ -21,18 +21,23 @@ One path engine, one time change, one integration tool:
   (1-delta)*t_k + delta*t_{k+1} of each subinterval, and the first-order
   chain-rule defect computed with them.
 
-Paths are deterministic functions of (inputs, seed): each row draws from a
-generator of its own seed, so it is bit-identical whichever batch or chunk
-it is drawn in.  Monte Carlo callers seed the paths of a run from its root
-seed with :func:`_run_seeds`, the one home of that rule and its limits.
+Paths are deterministic functions of (inputs, seed): row s is drawn from
+the PCG64 stream that ``np.random.default_rng(np.random.SeedSequence([s]))``
+would give, so it is bit-identical whichever batch or chunk it is drawn in.
+:func:`_row_states` derives the seeding of every row of a call at once, in
+one vectorised pass of numpy's SeedSequence hash, and one generator per
+chunk or worker is reset to each row's state before its draws.  Seeds are
+nonnegative Python or numpy integers; anything else is named before any
+draw.  Monte Carlo callers seed the paths of a run from its root seed with
+:func:`_run_seeds`, the one home of that rule and its limits.
 
 Long rows run on every core.  When a chunk holds a single row (more than
 _CHUNK_POINTS / 4 steps), a call has at least two chunks and at least two
 CPUs are usable, the chunks are filled on a standard-library thread pool,
 one worker per usable CPU and at most one chunk in flight per worker; they
 are still yielded in seed order.  The normal draws and the FFT release the
-GIL, and each row keeps its own generator, so the values are the same bits
-as on the calling thread, where every other call runs.
+GIL, and each row's draws start from its own seed's state, so the values
+are the same bits as on the calling thread, where every other call runs.
 """
 
 from __future__ import annotations
@@ -110,9 +115,97 @@ class StratonovichConfig:
             raise ValueError(f"refinement must be a positive integer; got {refinement!r}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """Generator for a nonnegative integer seed (NumPy rejects negative ones)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed)]))
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers, False for bools and all else."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constant c before and after each of its first
+    ``count`` updates c <- c*mult mod 2^32, as two uint32 rows."""
+    out = np.empty((2, count), dtype=np.uint32)
+    c = init
+    for j in range(count):
+        out[0, j] = c
+        c = c * mult & 0xFFFFFFFF
+        out[1, j] = c
+    return out
+
+
+# numpy's SeedSequence (after O'Neill's seed_seq_fe) with its 4-word pool.
+# The constants its hashes use depend only on the call count, not on the
+# entropy: 4 hashes fill the pool, then pass src hashes word src into each
+# other word d with constant 4 + 3*src + (d if d < src else d - 1), and
+# generate_state restarts from a constant of its own.  _CROSS lists each
+# pass's constants for d = src+1, src+2, src+3 (mod 4), the order of the
+# rotated pool in _row_states.
+_POOL = 4
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_FILL = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_CROSS = [
+    _FILL[:, [_POOL + (_POOL - 1) * src + (d if d < src else d - 1)
+              for d in [(src + k) % _POOL for k in range(1, _POOL)]]]
+    for src in range(_POOL)
+]
+_GENERATE = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
+
+
+def _hashmix(words: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each word, with the constants it would use."""
+    words = (words ^ before) * after
+    words ^= words >> _XSHIFT
+    return words
+
+
+def _row_states(seeds) -> np.ndarray:
+    """``np.random.SeedSequence([s]).generate_state(4, np.uint64)`` for every
+    seed s, as a (len(seeds), 4) uint64 array, in one vectorised pass.
+
+    These are the words PCG64 seeds itself from (:func:`_pcg64_state`).  A
+    seed below 2^128 fills at most the 4-word pool, and padding it with
+    zero words is exactly what SeedSequence does, so those rows are hashed
+    together in uint32 arithmetic; a larger seed adds words that
+    SeedSequence mixes in a loop of their own, and its row is numpy's.
+    Raises ValueError naming the first seed that is not a nonnegative
+    Python or numpy integer, before any row is derived.
+    """
+    values = []
+    for seed in seeds:
+        if not (_is_integer(seed) and seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer; got {seed!r}")
+        values.append(int(seed))
+    words = np.empty((len(values), 2), dtype="<u8")
+    words[:, 0] = [s & _MASK64 for s in values]
+    words[:, 1] = [s >> 64 & _MASK64 for s in values]
+    pool = _hashmix(words.view("<u4"), *_FILL[:, :_POOL])  # 32-bit words, low first
+    for before, after in _CROSS:  # column 0 is word src, the others follow it
+        others = pool[:, 1:]
+        others *= _MIX_L
+        others -= _hashmix(pool[:, :1], before, after) * _MIX_R
+        others ^= others >> _XSHIFT
+        pool = np.concatenate([others, pool[:, :1]], axis=1)
+    # generate_state draws 8 uint32 words from the pool in turn and pairs
+    # them little-endian into uint64, as numpy does
+    state = _hashmix(np.concatenate([pool, pool], axis=1), *_GENERATE)
+    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    for i, seed in enumerate(values):
+        if seed >> 128:
+            state[i] = np.random.SeedSequence([seed]).generate_state(4, np.uint64)
+    return state
+
+
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """The ``bit_generator.state`` of ``np.random.PCG64`` seeded with the words
+    (s_hi, s_lo, i_hi, i_lo) of one :func:`_row_states` row: PCG's srandom
+    step, inc = 2*initseq + 1 and state = (inc + initstate)*MULT + inc."""
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 _MAX_PATHS = 1 << 20
@@ -122,16 +215,20 @@ _MAX_ROOT = 1 << 44
 def _run_seeds(root: int, count: int) -> range:
     """Seeds (root << 20) ^ i of the paths i < count of a run.
 
-    Distinct over all (root, i) and below 2^64 for root in [0, 2^44) and
-    1 <= count <= 2^20, both checked here; the xor fills only the low 20
-    bits, so it is the sum (root << 20) + i.
+    Distinct over all (root, i) and below 2^64 for integers root in
+    [0, 2^44) and 1 <= count <= 2^20, all checked here; the xor fills only
+    the low 20 bits, so it is the sum (root << 20) + i.
     """
+    if not _is_integer(root):
+        raise ValueError(f"root seed must be an integer; got {root!r}")
     if not 0 <= root < _MAX_ROOT:
         raise ValueError(f"root seed must lie in [0, 2^44); got {root}")
+    if not _is_integer(count):
+        raise ValueError(f"path count must be an integer; got {count!r}")
     if not 1 <= count <= _MAX_PATHS:
         raise ValueError(f"need at least 1 and at most {_MAX_PATHS} paths; got {count}")
     first = int(root) << 20
-    return range(first, first + count)
+    return range(first, first + int(count))
 
 
 def fgn_covariance(hurst_prime: float, lags) -> np.ndarray:
@@ -175,30 +272,35 @@ def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray:
     return scales
 
 
-def _fgn_scratch(rows: int, n: int) -> np.ndarray:
+def _fgn_scratch(rows: int, n: int):
     """The scratch of :func:`_fgn_into` for up to ``rows`` rows of n draws:
-    the (rows, 2n) complex embedding vectors."""
-    return np.empty((rows, 2 * n), dtype=complex)
+    the (rows, 2n) complex embedding vectors, and a PCG64 generator that
+    each row resets to its own seed's state."""
+    return np.empty((rows, 2 * n), dtype=complex), np.random.Generator(np.random.PCG64(0))
 
 
-def _fgn_into(scales: np.ndarray, seeds, w: np.ndarray, out: np.ndarray) -> None:
-    """One row of n fGn draws per seed into ``out`` (len(seeds), n), using
-    the first len(seeds) rows of the scratch from :func:`_fgn_scratch`.
+def _fgn_into(scales: np.ndarray, states: np.ndarray, scratch, out: np.ndarray) -> None:
+    """One row of n fGn draws per :func:`_row_states` row into ``out``
+    (len(states), n), using the first len(states) rows of the scratch from
+    :func:`_fgn_scratch`.
 
-    Each row draws a (length 2n) then b, and the embedding reads b only
-    below n, so b's tail is never drawn.  w is Hermitian: w_0 and w_n are
-    real, w_k = s_k (a_k + i b_k) and w_{2n-k} its conjugate for 0 < k < n.
-    a waits in the back half of w, which is written only once a is read,
-    and b in the row of ``out``; the FFT runs in place.  Allocates no array
-    and calls no public name, so worker threads may run it.
+    Each row sets the generator to its seed's state and draws a (length 2n)
+    then b, and the embedding reads b only below n, so b's tail is never
+    drawn.  w is Hermitian: w_0 and w_n are real, w_k = s_k (a_k + i b_k)
+    and w_{2n-k} its conjugate for 0 < k < n.  a waits in the back half of
+    w, which is written only once a is read, and b in the row of ``out``;
+    the FFT runs in place.  Allocates no array and calls no public name, so
+    worker threads may run it, each with its own scratch.
     """
+    w, rng = scratch
+    bits = rng.bit_generator
     rows, n = out.shape
     m = 2 * n
     w = w[:rows]
     re, im = w.real, w.imag
     a = w[:, n:].view(float)
-    for row_a, row_b, seed in zip(a, out, seeds):
-        rng = _rng(seed)
+    for row_a, row_b, words in zip(a, out, states.tolist()):
+        bits.state = _pcg64_state(*words)
         rng.standard_normal(out=row_a)
         rng.standard_normal(out=row_b)
     np.multiply(scales[:n], a[:, :n], out=re[:, :n])
@@ -222,8 +324,9 @@ def gen_fgn(hurst_prime: float, n: int, seed: int) -> np.ndarray:
     drawn.
     """
     scales = _circulant_scales(hurst_prime, n)
+    states = _row_states([seed])
     out = np.empty(n)
-    _fgn_into(scales, [seed], _fgn_scratch(1, n), out[np.newaxis])
+    _fgn_into(scales, states, _fgn_scratch(1, n), out[np.newaxis])
     return out
 
 
@@ -291,9 +394,10 @@ def _grid_steps(n: int, horizon: float) -> int:
     return math.ceil(n * horizon)
 
 
-def _fill_chunk(order: int, norm: float, scales: np.ndarray, seeds,
-                w: np.ndarray, paths: np.ndarray) -> None:
-    """One chunk of paths, a row per seed, into ``paths`` (len(seeds), m+1).
+def _fill_chunk(order: int, norm: float, scales: np.ndarray, states: np.ndarray,
+                scratch, paths: np.ndarray) -> None:
+    """One chunk of paths, a row per :func:`_row_states` row, into ``paths``
+    (len(states), m+1).
 
     fGn lands in the rows, He_k runs in the scratch (free once the FFT's
     real parts are copied out), and the cumulative sums go back into the
@@ -302,9 +406,9 @@ def _fill_chunk(order: int, norm: float, scales: np.ndarray, seeds,
     """
     m = paths.shape[1] - 1
     xi = paths[:, 1:]
-    _fgn_into(scales, seeds, w, xi)
-    scratch = w[: len(seeds)].view(float)
-    he = _hermite_into(order, xi, scratch[:, :m], scratch[:, m : 2 * m], scratch[:, 2 * m : 3 * m])
+    _fgn_into(scales, states, scratch, xi)
+    w = scratch[0][: len(states)].view(float)
+    he = _hermite_into(order, xi, w[:, :m], w[:, m : 2 * m], w[:, 2 * m : 3 * m])
     paths[:, 0] = 0.0
     np.cumsum(he, axis=1, out=xi)
     paths /= norm
@@ -352,6 +456,8 @@ def _threaded_chunks(fill, blocks, scratch, m: int):
 def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
     """The rows of :func:`simulate_paths`, in blocks of consecutive seeds.
 
+    Every seed is checked and every row's state derived (:func:`_row_states`)
+    on the calling thread, before any spectrum is computed or row drawn.
     Each block holds at most _CHUNK_POINTS embedded points (at least one
     row), so a caller reducing block by block never holds more.  Blocks of
     one row (m > _CHUNK_POINTS / 4 steps) are filled on a thread pool
@@ -359,11 +465,12 @@ def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
     usable CPUs: one worker per usable CPU, at most one block in flight per
     worker, and the blocks are still yielded in seed order.  Shorter rows
     are filled on the calling thread.  Either way every row is drawn from
-    its own seed's generator, so the values are the same bits.
+    its own seed's state, so the values are the same bits.
     """
     m = _grid_steps(n, horizon)
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
+    states = _row_states(seeds)
     if n < 64 and spec.order > 1:
         warnings.warn(
             f"n={n} steps per unit time is small; the invariance-principle "
@@ -374,11 +481,11 @@ def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
     # both caches are filled here, before any worker starts
     norm = partial_sum_std(spec, n)
     scales = _circulant_scales(spec.hurst_prime, m)
-    starts = range(0, len(seeds), rows)
+    starts = range(0, len(states), rows)
     workers = min(len(starts), _usable_cpus()) if rows == 1 else 1
     fill = partial(_fill_chunk, spec.order, norm, scales)
-    scratch = [_fgn_scratch(min(rows, len(seeds)), m) for _ in range(workers)]
-    blocks = (seeds[start : start + rows] for start in starts)
+    scratch = [_fgn_scratch(min(rows, len(states)), m) for _ in range(workers)]
+    blocks = (states[start : start + rows] for start in starts)
     if workers > 1:
         yield from _threaded_chunks(fill, blocks, scratch, m)
         return

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import HermiteSpec, QuadResult
-from .simulate import _MAX_ROOT, SamplePath, _path_chunks, _run_seeds, fgn_covariance
+from .simulate import (
+    _MAX_ROOT,
+    SamplePath,
+    _is_integer,
+    _path_chunks,
+    _run_seeds,
+    fgn_covariance,
+)
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,12 @@ def qv_normalizer(
     ``error`` is the delta-method propagation of the second-moment standard
     error through the square root.
     """
+    if not _is_integer(n_blocks):
+        raise ValueError(f"n_blocks must be an integer; got {n_blocks!r}")
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1; got {n_blocks}")
+    if not _is_integer(mc_paths):
+        raise ValueError(f"mc_paths must be an integer; got {mc_paths!r}")
     if mc_paths < 100:
         raise ValueError("mc_paths must be at least 100 for a usable normalizer")
     v = _qv_paths(spec, n_blocks, block, mc_paths, seed, steps_per_unit)
@@ -277,8 +288,8 @@ def lrd_coefficient(spec: HermiteSpec, max_lag: int) -> np.ndarray:
     :func:`lrd_limit`), i.e. covariances decay like n^(2H-2), slowly enough
     that their partial sums diverge.
     """
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
+    if not (_is_integer(max_lag) and max_lag >= 1):
+        raise ValueError(f"max_lag must be an integer >= 1; got {max_lag!r}")
     lags = np.arange(1, max_lag + 1)
     return lags ** (2.0 - 2.0 * spec.hurst) * fgn_covariance(spec.hurst, lags)
 

@@ -1,5 +1,7 @@
 """Rate machinery, asset dynamics, deflation, market price of risk."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -221,6 +223,21 @@ def test_stock_paths_nonconstant_vol_redirects():
         stock_paths(m, [driver])
     sde = stock_paths_sde(m, [driver], StratonovichConfig(0.5))[0]
     assert sde.prices[0] == 1.0 and np.all(sde.prices > 0)
+
+
+def test_sigma_names_a_nan_time():
+    tabulated = MarketSpec(
+        spec=SPEC,
+        riskless=BasicRate.constant(0.05),
+        drifts=(BasicRate.constant(0.08),),
+        volatility=np.array([[[0.2]], [[0.3]]]),
+        initial_prices=(1.0,),
+        volatility_times=np.array([0.0, 1.0]),
+    )
+    for market in (tabulated, _market()):
+        with pytest.raises(ValueError, match=r"^volatility time must not be NaN; got nan$"):
+            market.sigma(math.nan)
+    assert np.allclose(tabulated.sigma(0.5), [[0.25]], rtol=1e-15, atol=0.0)
 
 
 def test_deflation_round_trip():

@@ -28,8 +28,10 @@ from hermkit.cli import main
 from hermkit.simulate import (
     _CHUNK_POINTS,
     _circulant_scales,
+    _fgn_scratch,
     _path_chunks,
-    _rng,
+    _pcg64_state,
+    _row_states,
     _run_seeds,
     fgn_covariance,
     partial_sum_std,
@@ -155,6 +157,13 @@ def test_steps_per_unit_time_must_be_a_positive_integer(n):
         subordinate(HermiteSpec(0.6, 1), n, 1.0, 0)
 
 
+def _row_generator(seed):
+    """The engine's generator as it stands before drawing the row of ``seed``."""
+    _, rng = _fgn_scratch(1, 1)
+    rng.bit_generator.state = _pcg64_state(*_row_states([seed]).tolist()[0])
+    return rng
+
+
 @pytest.mark.parametrize("seed, first_draws", [
     (0, (0.1257302210933933, -0.1321048632913019)),
     (17, (1.101262453505847, 0.3384312766461778)),
@@ -162,12 +171,36 @@ def test_steps_per_unit_time_must_be_a_positive_integer(n):
     (2**64 - 1, (0.7213364570768727, -0.9707961689465133)),
 ])
 def test_rng_streams_are_frozen(seed, first_draws):
-    assert tuple(_rng(seed).standard_normal(2)) == first_draws
+    # the first draws of a row, pinned when each row built its own
+    # default_rng(SeedSequence([seed]))
+    assert tuple(_row_generator(seed).standard_normal(2)) == first_draws
+
+
+def test_row_states_match_numpy_seeding():
+    # every row is seeded exactly as np.random.PCG64(SeedSequence([s])):
+    # edge seeds, random 64-bit seeds, and seeds past the 4-word pool
+    random64 = np.random.default_rng(2024).integers(0, 2**64, size=200, dtype=np.uint64)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5, 2**127 + 1, 2**128 - 1,
+             2**128, 2**200, np.uint64(2**64 - 1), np.int8(3), *random64.tolist()[:100],
+             *random64[100:]]
+    rows = _row_states(seeds)
+    assert rows.shape == (len(seeds), 4) and rows.dtype == np.uint64
+    for seed, row in zip(seeds, rows.tolist()):
+        reference = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+        assert row == reference.bit_generator.seed_seq.generate_state(4, np.uint64).tolist()
+        state = _pcg64_state(*row)
+        assert state == reference.bit_generator.state
+        draws = _row_generator(seed).standard_normal(300)
+        assert np.array_equal(draws, reference.standard_normal(300))
+    # a row is the same whichever call derives it
+    assert np.array_equal(rows[5:9], _row_states(seeds[5:9]))
+    assert _row_states([]).shape == (0, 4)
 
 
 def test_run_seeds_cover_distinct_64_bit_seeds():
     assert list(_run_seeds(5, 4)) == [(5 << 20) ^ i for i in range(4)]
     assert _run_seeds(2**44 - 1, 2**20)[-1] == 2**64 - 1
+    assert _run_seeds(np.int64(5), np.uint16(4)) == _run_seeds(5, 4)
     # masked to 64 bits, -1 would repeat root 2^44 - 1 and 2^44 root 0
     for root in (-1, 2**44):
         with pytest.raises(ValueError, match=r"root seed must lie in \[0, 2\^44\)"):
@@ -178,11 +211,48 @@ def test_run_seeds_cover_distinct_64_bit_seeds():
             _run_seeds(5, count)
 
 
+@pytest.mark.parametrize("root, count, message", [
+    (2.9, 2, "root seed must be an integer; got 2.9"),
+    (True, 2, "root seed must be an integer; got True"),
+    (np.float64(5.0), 2, "root seed must be an integer; got np.float64(5.0)"),
+    (5, 100.0, "path count must be an integer; got 100.0"),
+    (5, 150.5, "path count must be an integer; got 150.5"),
+])
+def test_run_seeds_name_non_integers(root, count, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _run_seeds(root, count)
+
+
 def test_rng_rejects_negative_seeds_and_extra_keys():
-    with pytest.raises(ValueError):
-        _rng(-1)
-    with pytest.raises(TypeError):
-        _rng(5, 0)
+    # one seed is one nonnegative integer: a key of two words is not one
+    for seed in (-1, np.int64(-1), (5, 0), [5, 0]):
+        message = f"seed must be a nonnegative integer; got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _row_states([1, seed])
+
+
+@pytest.fixture
+def no_generator(monkeypatch):
+    """Forbid building the engine's generator, so a test can check that an
+    error comes before any row is drawn."""
+    def forbidden(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(simulate, "_fgn_scratch", forbidden)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, "5", math.nan, np.float64(3.0), None, -2])
+def test_bad_seeds_are_named_before_drawing(no_generator, seed):
+    message = f"^{re.escape(f'seed must be a nonnegative integer; got {seed!r}')}$"
+    spec = HermiteSpec(0.6, 1)
+    with pytest.raises(ValueError, match=message):
+        simulate_hermite_path(spec, 16, 1.0, seed)
+    with pytest.raises(ValueError, match=message):
+        gen_fgn(0.7, 8, seed)
+    with pytest.raises(ValueError, match=message):
+        simulate_paths(spec, 16, 1.0, [1, 2, seed, 4])
+    with pytest.raises(ValueError, match=message):
+        subordinate(spec, 16, 1.0, seed)
 
 
 def test_partial_sum_std_matches_simulation():
@@ -277,12 +347,23 @@ def _one_row_grid():
 
 
 def test_threaded_chunks_raise_the_serial_error(monkeypatch):
+    # the row of seed 3 fails wherever it is drawn; a worker's failure
+    # reaches the caller with the type and message of the serial one
+    failing = _row_states([3]).tolist()[0]
+    true_state = simulate._pcg64_state
+
+    def state(*words):
+        if list(words) == failing:
+            raise ArithmeticError(f"cannot draw the row of words {words}")
+        return true_state(*words)
+
+    monkeypatch.setattr(simulate, "_pcg64_state", state)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     spec, n, horizon = _one_row_grid()
-    with pytest.raises(ValueError) as serial:
-        simulate_paths(spec, 64, 1.0, [-3])  # many rows per chunk: no thread
+    with pytest.raises(ArithmeticError) as serial:
+        simulate_paths(spec, 64, 1.0, [3])  # many rows per chunk: no thread
     threads = threading.active_count()
-    chunks = _path_chunks(spec, n, horizon, [1, 2, -3, 4, 5])
+    chunks = _path_chunks(spec, n, horizon, [1, 2, 3, 4, 5])
     drawn = [next(chunks), next(chunks)]
     with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
         next(chunks)
@@ -334,7 +415,7 @@ def test_one_step_paths(tmp_path):
     # draw is s_0 a_0 + s_1 a_1 with s_0^2 + s_1^2 = 1
     scales = _circulant_scales(0.7, 1)
     assert scales @ scales == pytest.approx(1.0, rel=1e-15)
-    a = _rng(3).standard_normal(2)
+    a = np.random.default_rng(np.random.SeedSequence([3])).standard_normal(2)
     assert gen_fgn(0.7, 1, 3) == pytest.approx([scales @ a], rel=1e-15)
     path = simulate_hermite_path(HermiteSpec(0.6, 1), 3, 0.1, 0)
     assert np.array_equal(path.times, [0.0, 1 / 3])
@@ -349,7 +430,7 @@ def test_simulate_paths_needs_a_seed():
 
 
 @pytest.fixture
-def negative_embedding(monkeypatch):
+def negative_embedding(monkeypatch, no_generator):
     """Poison every covariance row so each circulant spectrum has an
     eigenvalue far below zero, and forbid building a generator.
 
@@ -364,13 +445,9 @@ def negative_embedding(monkeypatch):
         rho[-1] = 10.0
         return rho
 
-    def no_generator(seed):
-        raise AssertionError("a generator was built")
-
     _circulant_scales.cache_clear()
     partial_sum_std.cache_clear()
     monkeypatch.setattr(simulate, "fgn_covariance", poisoned)
-    monkeypatch.setattr(simulate, "_rng", no_generator)
     yield
     _circulant_scales.cache_clear()
     partial_sum_std.cache_clear()

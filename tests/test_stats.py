@@ -95,6 +95,21 @@ def test_qv_normalizer_rejects_bad_blocks(monkeypatch, n_blocks, block, message)
         qv_normalizer(HermiteSpec(0.6, 1), n_blocks, block, 200, seed=5)
 
 
+@pytest.mark.parametrize("n_blocks, mc_paths, message", [
+    pytest.param(2.5, 100, "n_blocks must be an integer; got 2.5", id="fractional-blocks"),
+    pytest.param(True, 100, "n_blocks must be an integer; got True", id="bool-blocks"),
+    pytest.param(8, 150.5, "mc_paths must be an integer; got 150.5", id="fractional-paths"),
+    pytest.param(8, 100.0, "mc_paths must be an integer; got 100.0", id="float-paths"),
+])
+def test_qv_normalizer_names_non_integer_counts(monkeypatch, n_blocks, mc_paths, message):
+    def no_draws(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(stats, "_path_chunks", no_draws)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        qv_normalizer(HermiteSpec(0.6, 1), n_blocks, 1.0, mc_paths, seed=3)
+
+
 @pytest.mark.parametrize("spec, n_blocks, mc_paths, seed, expected", [
     # order 1 on the unit-block grid: 300 paths in chunks of 127, 127, 46
     (HermiteSpec(0.6, 1), 128, 300, 3, (16.226575430636416, 0.6486668238835255)),
@@ -220,6 +235,14 @@ def test_lrd_coefficient_approaches_limit(h):
     assert coef.shape == (lag,)
     assert coef[-1] == pytest.approx(lrd_limit(spec), rel=0.01)
     assert lrd_limit(spec) == pytest.approx(h * (2 * h - 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("max_lag", [2.5, 0, True, math.nan])
+def test_lrd_coefficient_names_a_bad_lag_count(max_lag):
+    message = f"max_lag must be an integer >= 1; got {max_lag!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lrd_coefficient(HermiteSpec(0.7, 1), max_lag)
+    assert lrd_coefficient(HermiteSpec(0.7, 1), np.int64(3)).shape == (3,)
 
 
 def test_lrd_coefficient_not_summable():
