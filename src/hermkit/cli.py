@@ -63,7 +63,6 @@ import argparse
 import configparser
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -93,7 +92,7 @@ from .pricing import (
     power_derivative_beta,
     price_characteristics,
 )
-from .simulate import SamplePath, _path_chunks, _run_seeds
+from .simulate import SamplePath, _map_blocks, _run_seeds
 from .stats import _qv_slope_fit, estimate_hurst, qv_ladder, qv_regime_exponent
 
 
@@ -337,16 +336,16 @@ def _cmd_simulate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     horizon = _run_setting(args, cfg, "horizon", 1.0)
     n_paths = _run_setting(args, cfg, "paths", 1)
     seeds = _run_seeds(record.seed, n_paths)
-    # row by row from the engine's chunks, so memory stays one chunk deep
-    rows = itertools.chain.from_iterable(_path_chunks(spec, steps, horizon, seeds))
-    names, at_one = [], []
-    for k, values in enumerate(rows):
-        times = np.arange(values.size) / steps
-        name = f"path_{k}.csv"
-        _write_csv(out_dir / name, ("t", "value"), zip(times.tolist(), values.tolist()))
-        names.append(name)
-        at_one.append(values[int(np.argmin(np.abs(times - min(1.0, horizon))))])
-    at_one = np.asarray(at_one)
+    names = [f"path_{k}.csv" for k in range(n_paths)]
+
+    # block by block, so memory stays one block deep
+    def write(start: int, paths: np.ndarray) -> np.ndarray:
+        times = np.arange(paths.shape[1]) / steps
+        for name, values in zip(names[start : start + len(paths)], paths.tolist()):
+            _write_csv(out_dir / name, ("t", "value"), zip(times.tolist(), values))
+        return paths[:, int(np.argmin(np.abs(times - min(1.0, horizon))))].copy()
+
+    at_one = np.concatenate(_map_blocks(spec, steps, horizon, seeds, write))
     variance = float(np.var(at_one, ddof=1)) if n_paths > 1 else 0.0
     _write_json(out_dir, "summary.json", record, {
         "hurst": spec.hurst,

@@ -6,7 +6,7 @@ One path engine, one time change, one integration tool:
   construction: partial sums of the order-k Hermite polynomial applied to a
   Gaussian sequence with Hurst index H' = 1 + (H-1)/k, normalized by the
   exact partial-sum standard deviation so Var(X(1)) = 1; at k = 1 this is
-  exact fractional Brownian motion.  One row per seed, drawn in chunks of
+  exact fractional Brownian motion.  One row per seed, drawn in blocks of
   at most _CHUNK_POINTS embedded points that share one FFT call, with the
   circulant spectrum cached per (H', length); circulant embedding is the
   only fGn route, and a spectrum negative beyond roundoff raises
@@ -23,32 +23,30 @@ One path engine, one time change, one integration tool:
 
 Paths are deterministic functions of (inputs, seed): row s is drawn from
 the PCG64 stream that ``np.random.default_rng(np.random.SeedSequence([s]))``
-would give, so it is bit-identical whichever batch or chunk it is drawn in.
+would give, so it is bit-identical whichever batch or block it is drawn in.
 :func:`_row_states` derives the seeding of every row of a call at once, in
-one vectorised pass of numpy's SeedSequence hash, and one generator per
-chunk or worker is reset to each row's state before its draws.  Seeds are
+one vectorised pass of numpy's SeedSequence hash, and each worker's one
+generator is reset to each row's state before its draws.  Seeds are
 nonnegative Python or numpy integers; anything else is named before any
 draw.  Monte Carlo callers seed the paths of a run from its root seed with
 :func:`_run_seeds`, the one home of that rule and its limits.
 
-Long rows run on every core.  When a chunk holds a single row (more than
-_CHUNK_POINTS / 4 steps), a call has at least two chunks and at least two
-CPUs are usable, the chunks are filled on a standard-library thread pool,
-one worker per usable CPU and at most one chunk in flight per worker; they
-are still yielded in seed order.  The normal draws and the FFT release the
-GIL, and each row's draws start from its own seed's state, so the values
-are the same bits as on the calling thread, where every other call runs.
+Every caller maps a per-block reduction over the rows with
+:func:`_map_blocks`, which spreads long rows over one thread per usable
+CPU.  The normal draws and the FFT release the GIL, and each row's draws
+start from its own seed's state, so the values are the same bits as on
+the calling thread.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import numbers
 import os
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -118,6 +116,13 @@ class StratonovichConfig:
 def _is_integer(x) -> bool:
     """True for Python and numpy integers, False for bools and all else."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; raises ValueError naming it unless :func:`_is_integer`."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return int(value)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -219,16 +224,14 @@ def _run_seeds(root: int, count: int) -> range:
     [0, 2^44) and 1 <= count <= 2^20, all checked here; the xor fills only
     the low 20 bits, so it is the sum (root << 20) + i.
     """
-    if not _is_integer(root):
-        raise ValueError(f"root seed must be an integer; got {root!r}")
+    root = _integer(root, "root seed")
     if not 0 <= root < _MAX_ROOT:
         raise ValueError(f"root seed must lie in [0, 2^44); got {root}")
-    if not _is_integer(count):
-        raise ValueError(f"path count must be an integer; got {count!r}")
+    count = _integer(count, "path count")
     if not 1 <= count <= _MAX_PATHS:
         raise ValueError(f"need at least 1 and at most {_MAX_PATHS} paths; got {count}")
-    first = int(root) << 20
-    return range(first, first + int(count))
+    first = root << 20
+    return range(first, first + count)
 
 
 def fgn_covariance(hurst_prime: float, lags) -> np.ndarray:
@@ -421,51 +424,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _threaded_chunks(fill, blocks, scratch, m: int):
-    """Yield one filled (len(block), m+1) chunk per block, in order, chunk i
-    filled by ``fill(block, scratch[i % w], paths)`` on a pool of
-    w = len(scratch) worker threads.
+def _map_blocks(spec: HermiteSpec, n: int, horizon: float, seeds, reduce) -> list:
+    """``[reduce(start, block), ...]`` over the rows of :func:`simulate_paths`
+    in blocks of consecutive seeds, ``start`` the index of a block's first.
 
-    Chunk i is allocated and submitted only once chunk i - w is done, so at
-    most w chunks are in flight and no two share a scratch array.  A
-    worker's exception is raised here, with its own type and message, when
-    its chunk's turn comes; closing the generator waits for the chunks in
-    flight and joins every worker.
-    """
-    # concurrent.futures imports logging; only long rows pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    def take(chunk):
-        future, paths = chunk
-        future.result()
-        return paths
-
-    w = len(scratch)
-    with ThreadPoolExecutor(w) as pool:
-        flight = collections.deque()  # (future, paths) in block order
-        for i, block in enumerate(blocks):
-            done = take(flight.popleft()) if i >= w else None
-            paths = np.empty((len(block), m + 1))
-            flight.append((pool.submit(fill, block, scratch[i % w], paths), paths))
-            if done is not None:
-                yield done
-        while flight:
-            yield take(flight.popleft())
-
-
-def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
-    """The rows of :func:`simulate_paths`, in blocks of consecutive seeds.
-
-    Every seed is checked and every row's state derived (:func:`_row_states`)
-    on the calling thread, before any spectrum is computed or row drawn.
-    Each block holds at most _CHUNK_POINTS embedded points (at least one
-    row), so a caller reducing block by block never holds more.  Blocks of
-    one row (m > _CHUNK_POINTS / 4 steps) are filled on a thread pool
-    (:func:`_threaded_chunks`) when there are at least two blocks and two
-    usable CPUs: one worker per usable CPU, at most one block in flight per
-    worker, and the blocks are still yielded in seed order.  Shorter rows
-    are filled on the calling thread.  Either way every row is drawn from
-    its own seed's state, so the values are the same bits.
+    One-row blocks go to one thread per usable CPU.  A worker refills one
+    buffer, so ``reduce`` copies what it keeps, and calls no public name.
+    Every thread is joined before this returns or raises; the error raised
+    is the first failing block's in seed order.
     """
     m = _grid_steps(n, horizon)
     if len(seeds) == 0:
@@ -483,16 +449,43 @@ def _path_chunks(spec: HermiteSpec, n: int, horizon: float, seeds):
     scales = _circulant_scales(spec.hurst_prime, m)
     starts = range(0, len(states), rows)
     workers = min(len(starts), _usable_cpus()) if rows == 1 else 1
-    fill = partial(_fill_chunk, spec.order, norm, scales)
-    scratch = [_fgn_scratch(min(rows, len(states)), m) for _ in range(workers)]
-    blocks = (states[start : start + rows] for start in starts)
-    if workers > 1:
-        yield from _threaded_chunks(fill, blocks, scratch, m)
-        return
-    for block in blocks:
-        paths = np.empty((len(block), m + 1))
-        fill(block, scratch[0], paths)
-        yield paths
+    size = min(rows, len(states))
+    buffers = [(_fgn_scratch(size, m), np.empty((size, m + 1))) for _ in range(workers)]
+    results = [None] * len(starts)
+    failures = []  # (block index, error); block -1 is an interrupt
+
+    def work(worker: int) -> None:
+        scratch, buffer = buffers[worker]
+        for b in range(worker, len(starts), workers):
+            if failures and b > failures[0][0]:
+                return  # a block after a failed one cannot fail first
+            block = states[starts[b] : starts[b] + rows]
+            paths = buffer[: len(block)]
+            try:
+                _fill_chunk(spec.order, norm, scales, block, scratch, paths)
+                results[b] = reduce(starts[b], paths)
+            except BaseException as error:
+                failures.append((b, error))
+                return
+
+    if workers == 1:
+        work(0)
+    else:
+        threads = []
+        try:
+            for worker in range(workers):
+                thread = threading.Thread(target=work, args=(worker,))
+                thread.start()
+                threads.append(thread)
+            for thread in threads:
+                thread.join()
+        except BaseException as error:  # every worker stops after its block
+            failures.insert(0, (-1, error))
+            for thread in threads:
+                thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def simulate_paths(spec: HermiteSpec, n: int, horizon: float, seeds) -> np.ndarray:
@@ -501,10 +494,16 @@ def simulate_paths(spec: HermiteSpec, n: int, horizon: float, seeds) -> np.ndarr
     Row i is bit-identical to ``simulate_hermite_path(spec, n, horizon,
     seeds[i]).values`` on the grid k/n, k = 0..m = ceil(n*T); the circulant
     spectrum is computed once per (H', m) and the rows share the FFTs.  Rows
-    longer than _CHUNK_POINTS / 4 steps are drawn on one worker thread per
-    usable CPU (see :func:`_path_chunks`), with the same bits.
+    longer than _CHUNK_POINTS / 4 steps are drawn on one thread per usable
+    CPU (see :func:`_map_blocks`), with the same bits.
     """
-    return np.concatenate(list(_path_chunks(spec, n, horizon, seeds)))
+    paths = np.empty((len(seeds), _grid_steps(n, horizon) + 1))
+
+    def store(start: int, block: np.ndarray) -> None:
+        paths[start : start + len(block)] = block
+
+    _map_blocks(spec, n, horizon, seeds, store)
+    return paths
 
 
 def simulate_hermite_path(

@@ -27,8 +27,9 @@ from .kernel import HermiteSpec, QuadResult
 from .simulate import (
     _MAX_ROOT,
     SamplePath,
+    _integer,
     _is_integer,
-    _path_chunks,
+    _map_blocks,
     _run_seeds,
     fgn_covariance,
 )
@@ -118,7 +119,7 @@ def _qv_paths(
     seed: int,
     steps_per_unit: int,
 ) -> np.ndarray:
-    """Per-path QV statistics from fresh simulations, one chunk at a time.
+    """Per-path QV statistics from fresh simulations, one block at a time.
 
     Order 1 is exact on any grid, so it runs on the coarsest block-aligned
     one; higher orders need the finer ``steps_per_unit`` grid for the
@@ -133,10 +134,9 @@ def _qv_paths(
             n = coarse
     stride = _block_stride(1.0 / n, block)
     seeds = _run_seeds(seed, mc_paths)
-    return np.concatenate([
-        _centered_qv_rows(chunk, stride, block, spec.hurst)[0]
-        for chunk in _path_chunks(spec, n, horizon, seeds)
-    ])
+    return np.concatenate(_map_blocks(
+        spec, n, horizon, seeds,
+        lambda start, paths: _centered_qv_rows(paths, stride, block, spec.hurst)[0]))
 
 
 def qv_normalizer(
@@ -152,12 +152,10 @@ def qv_normalizer(
     ``error`` is the delta-method propagation of the second-moment standard
     error through the square root.
     """
-    if not _is_integer(n_blocks):
-        raise ValueError(f"n_blocks must be an integer; got {n_blocks!r}")
+    n_blocks = _integer(n_blocks, "n_blocks")
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be at least 1; got {n_blocks}")
-    if not _is_integer(mc_paths):
-        raise ValueError(f"mc_paths must be an integer; got {mc_paths!r}")
+    mc_paths = _integer(mc_paths, "mc_paths")
     if mc_paths < 100:
         raise ValueError("mc_paths must be at least 100 for a usable normalizer")
     v = _qv_paths(spec, n_blocks, block, mc_paths, seed, steps_per_unit)
@@ -194,9 +192,9 @@ def qv_ladder(
 
     Cell j of the sorted ladder runs :func:`qv_normalizer` with its own root
     seed (``seed`` plus j times a fixed prime), so cells share no paths.
-    Every cell's root is checked before the first cell draws.
+    Every cell's root and block count is checked before the first cell draws.
     """
-    n_list = sorted(int(n) for n in n_blocks_list)
+    n_list = sorted(_integer(n, "n_blocks") for n in n_blocks_list)
     offset = _LADDER_STEP * (len(n_list) - 1)
     if not 0 <= seed < _MAX_ROOT - offset:
         raise ValueError(
@@ -222,7 +220,7 @@ def qv_scaling_exponent(
     Compare with :func:`qv_regime_exponent`; in the order-1, H > 3/4 regime
     the neglected log N factor inflates the fitted slope slightly.
     """
-    n_list = sorted(int(n) for n in n_blocks_list)
+    n_list = sorted(_integer(n, "n_blocks") for n in n_blocks_list)
     if len(set(n_list)) < 3 or n_list[-1] < 8 * n_list[0]:
         raise ValueError("need >= 3 distinct block counts spanning a factor of 8")
     ladder = qv_ladder(spec, n_list, block, mc_paths, seed, steps_per_unit)
@@ -243,7 +241,7 @@ def estimate_hurst(path: SamplePath, scales) -> HurstEstimate:
     """Increment-variance regression estimate of the Hurst index.
 
     E[(X(t+s) - X(t))^2] = s^(2H) for the unit-variance motion, so the slope
-    of log mean-squared-increment against log scale is 2H.  Scales count
+    of log mean-squared-increment against log scale is 2H.  Scales are whole
     steps of the path's uniform time grid (an uneven grid raises); each must
     leave at least 8 increments.  Warns when the estimate comes within
     sampling distance of the boundary of (1/2, 1), outside which no
@@ -251,7 +249,7 @@ def estimate_hurst(path: SamplePath, scales) -> HurstEstimate:
     with a floor of 0.02, since the regression se understates dispersion
     under dependent increments.
     """
-    scales = tuple(int(s) for s in scales)
+    scales = tuple(_integer(s, "scale") for s in scales)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
     _uniform_step(path.times)

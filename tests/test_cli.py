@@ -9,11 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
 import hermkit
+from hermkit import HermiteSpec, simulate, simulate_paths
 from hermkit.cli import config_digest, load_config, main
+from hermkit.simulate import _run_seeds
 
 # kappa = 2, H = 0.7 cumulative-rate constant, frozen from the closed form
 D_CONST = 7.350264372833577
@@ -69,6 +72,20 @@ def test_simulate_writes_paths_and_summary(tmp_path, capsys):
     assert summary["steps"] == 64
     assert summary["files"] == ["path_0.csv", "path_1.csv"]
     assert re.fullmatch(r"[0-9a-f]{16}", summary["config_digest"])
+
+
+def test_simulate_writes_threaded_paths_in_seed_order(tmp_path, monkeypatch):
+    # rows longer than 8192 steps are drawn on two worker threads; each file
+    # and the variance still come from the engine's rows in seed order
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    assert main(["simulate", "--hurst", "0.7", "--order", "2", "--steps", "8200",
+                 "--paths", "3", "--seed", "11", "--out", str(tmp_path)]) == 0
+    rows = simulate_paths(HermiteSpec(0.7, 2), 8200, 1.0, _run_seeds(11, 3))
+    for k, row in enumerate(rows):
+        t, v = np.loadtxt(tmp_path / f"path_{k}.csv", delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(t, np.arange(8201) / 8200) and np.array_equal(v, row)
+    summary = _read_json(tmp_path, "summary.json")
+    assert summary["variance_at_1"] == float(np.var(rows[:, -1], ddof=1))
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -421,7 +438,7 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_import_starts_no_thread_pool(tmp_path):
-    # only long Monte Carlo rows import concurrent.futures, and with it logging
+    # the path engine's threads come from threading alone: no pool, no logging
     proc = _fresh_python(
         "import sys, hermkit.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))",

@@ -5,6 +5,8 @@ import math
 import re
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from hermkit.simulate import (
     _CHUNK_POINTS,
     _circulant_scales,
     _fgn_scratch,
-    _path_chunks,
+    _map_blocks,
     _pcg64_state,
     _row_states,
     _run_seeds,
@@ -319,27 +321,41 @@ def test_hermite_paths_are_frozen(order, hurst, n, horizon, seed, digest):
 @pytest.mark.parametrize("order, hurst, n, horizon", [
     (1, 0.6, 1, 129.0),
     (2, 0.7, 64, 4.0),
-    (2, 0.7, 64, 130.0),  # one-row chunks: worker threads
+    (2, 0.7, 64, 130.0),  # one-row blocks: worker threads
 ])
 def test_simulate_paths_rows_equal_one_row_calls(order, hurst, n, horizon, monkeypatch):
-    # 3 full chunks and a partial one; every chunk stays within the bound.
+    # 3 full blocks and a partial one; every block stays within the bound.
     # Three workers, whatever the machine has, so the threaded side runs and
-    # its round robin wraps around.
+    # a worker reuses its buffer.
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
     spec = HermiteSpec(hurst, order)
     m = math.ceil(n * horizon)
     rows = _CHUNK_POINTS // (2 * m)
     seeds = _run_seeds(21, 3 * rows + 1)
-    chunks = [chunk.shape for chunk in _path_chunks(spec, n, horizon, seeds)]
-    assert chunks == [(rows, m + 1)] * 3 + [(1, m + 1)]
+    blocks = _map_blocks(spec, n, horizon, seeds, lambda start, block: (start, block.shape))
+    assert blocks == [(i * rows, (rows, m + 1)) for i in range(3)] + [(3 * rows, (1, m + 1))]
     paths = simulate_paths(spec, n, horizon, seeds)
     assert paths.shape == (len(seeds), m + 1)
     for i, seed in enumerate(seeds):
         assert np.array_equal(paths[i], simulate_hermite_path(spec, n, horizon, seed).values)
 
 
+def test_simulate_paths_peak_memory_stays_near_its_output():
+    # rows go from one reused block buffer straight into the result
+    spec = HermiteSpec(0.7, 1)
+    simulate_paths(spec, 256, 1.0, [0])  # fill the spectrum and normalizer caches
+    tracemalloc.start()
+    try:
+        paths = simulate_paths(spec, 256, 1.0, range(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths.shape == (2000, 257)
+    assert peak < 1.5 * paths.nbytes
+
+
 def _one_row_grid():
-    """(spec, n, horizon) whose chunks are single rows, so that two or more
+    """(spec, n, horizon) whose blocks are single rows, so that two or more
     seeds go to worker threads."""
     spec, n, horizon = HermiteSpec(0.7, 2), 64, 130.0
     assert _CHUNK_POINTS // (2 * math.ceil(n * horizon)) == 1
@@ -347,42 +363,60 @@ def _one_row_grid():
 
 
 def test_threaded_chunks_raise_the_serial_error(monkeypatch):
-    # the row of seed 3 fails wherever it is drawn; a worker's failure
-    # reaches the caller with the type and message of the serial one
-    failing = _row_states([3]).tolist()[0]
+    # the rows of the failing seeds fail wherever they are drawn; the caller
+    # gets the first failing block's error in seed order, with the type and
+    # message of the serial one, and no worker outlives the call
+    failing = []
     true_state = simulate._pcg64_state
 
     def state(*words):
-        if list(words) == failing:
+        if list(words) in failing:
+            if list(words) == failing[0]:
+                time.sleep(0.05)  # so the first failure in seed order comes last
             raise ArithmeticError(f"cannot draw the row of words {words}")
         return true_state(*words)
 
     monkeypatch.setattr(simulate, "_pcg64_state", state)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     spec, n, horizon = _one_row_grid()
-    with pytest.raises(ArithmeticError) as serial:
-        simulate_paths(spec, 64, 1.0, [3])  # many rows per chunk: no thread
-    threads = threading.active_count()
-    chunks = _path_chunks(spec, n, horizon, [1, 2, 3, 4, 5])
-    drawn = [next(chunks), next(chunks)]
-    with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
-        next(chunks)
-    for chunk, seed in zip(drawn, [1, 2]):
-        assert np.array_equal(chunk[0], simulate_hermite_path(spec, n, horizon, seed).values)
-    assert threading.active_count() == threads
+    for failing_seeds in ([3],
+                          [2, 5],  # worker 1's block 1 before worker 0's block 4
+                          [3, 4]):  # worker 0's block 2 before worker 1's block 3
+        failing[:] = _row_states(failing_seeds).tolist()
+        with pytest.raises(ArithmeticError) as serial:
+            simulate_paths(spec, 64, 1.0, failing_seeds[:1])  # many rows per block: no thread
+        threads = threading.active_count()
+        kept = []
+        with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
+            _map_blocks(spec, n, horizon, [1, 2, 3, 4, 5, 6],
+                        lambda start, block: kept.append((start + 1, block[0].copy())))
+        assert threading.active_count() == threads
+        for seed, row in kept:
+            assert np.array_equal(row, simulate_hermite_path(spec, n, horizon, seed).values)
+        assert {seed for seed, _ in kept} >= set(range(1, failing_seeds[0]))
 
 
-def test_closing_threaded_chunks_stops_the_workers(monkeypatch):
+def test_threaded_start_failure_joins_the_started_workers(monkeypatch):
+    # a thread that cannot start stops the one already running after its
+    # block, and the call raises only once that one is joined
+    true_thread = threading.Thread
+    made = []
+
+    class SecondStartFails(true_thread):
+        def start(self):
+            made.append(self)
+            if len(made) == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     spec, n, horizon = _one_row_grid()
     threads = threading.active_count()
-    chunks = _path_chunks(spec, n, horizon, range(6))
-    first = next(chunks)
-    # the pool may hand the second chunk to a worker that is already idle
-    assert threads < threading.active_count() <= threads + 2
-    chunks.close()
+    monkeypatch.setattr(threading, "Thread", SecondStartFails)
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        simulate_paths(spec, n, horizon, range(8))
     assert threading.active_count() == threads
-    assert np.array_equal(first[0], simulate_hermite_path(spec, n, horizon, 0).values)
+    assert len(made) == 2 and not made[0].is_alive()
 
 
 def test_threaded_chunks_under_stress(monkeypatch):

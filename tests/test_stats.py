@@ -71,7 +71,7 @@ def test_qv_normalizer_rejects_overlapping_substreams(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(stats, "_path_chunks", no_draws)
+    monkeypatch.setattr(stats, "_map_blocks", no_draws)
     with pytest.raises(ValueError, match="at most"):
         qv_normalizer(HermiteSpec(0.6, 1), 8, 1.0, 2**20 + 1, seed=5)
 
@@ -90,7 +90,7 @@ def test_qv_normalizer_rejects_bad_blocks(monkeypatch, n_blocks, block, message)
     def no_draws(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(stats, "_path_chunks", no_draws)
+    monkeypatch.setattr(stats, "_map_blocks", no_draws)
     with pytest.raises(ValueError, match=re.escape(message)):
         qv_normalizer(HermiteSpec(0.6, 1), n_blocks, block, 200, seed=5)
 
@@ -105,7 +105,7 @@ def test_qv_normalizer_names_non_integer_counts(monkeypatch, n_blocks, mc_paths,
     def no_draws(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(stats, "_path_chunks", no_draws)
+    monkeypatch.setattr(stats, "_map_blocks", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         qv_normalizer(HermiteSpec(0.6, 1), n_blocks, 1.0, mc_paths, seed=3)
 
@@ -130,7 +130,7 @@ def test_qv_ladder_checks_every_cell_seed_before_drawing(monkeypatch, seed):
     def no_draws(*args):
         raise AssertionError("a path was drawn")
 
-    monkeypatch.setattr(stats, "_path_chunks", no_draws)
+    monkeypatch.setattr(stats, "_map_blocks", no_draws)
     message = ("root seed must lie in [0, 2^44 - 23757) for a 4-cell ladder, "
                f"whose cell j uses seed + 7919*j; got {seed}")
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -138,6 +138,31 @@ def test_qv_ladder_checks_every_cell_seed_before_drawing(monkeypatch, seed):
     # the largest admissible root reaches the engine
     with pytest.raises(AssertionError, match="a path was drawn"):
         stats.qv_ladder(HermiteSpec(0.7, 2), [8, 16, 32, 64], 1.0, 100, 2**44 - 23758)
+
+
+@pytest.mark.parametrize("n_blocks_list, bad", [
+    ([8.7, 16.2], "8.7"),
+    ([8, True, 64], "True"),
+    ([8, 16, np.float64(64.0)], "np.float64(64.0)"),
+])
+def test_qv_ladder_names_non_integer_block_counts(monkeypatch, n_blocks_list, bad):
+    # 8.7 and 16.2 were truncated to the ladder of N = 8 and 16
+    def no_draws(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(stats, "_map_blocks", no_draws)
+    message = f"n_blocks must be an integer; got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stats.qv_ladder(HermiteSpec(0.6, 1), n_blocks_list, 1.0, 100, 0)
+
+
+def test_qv_scaling_exponent_names_non_integer_block_counts(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(stats, "_map_blocks", no_draws)
+    with pytest.raises(ValueError, match=r"^n_blocks must be an integer; got 8\.7$"):
+        qv_scaling_exponent(HermiteSpec(0.6, 1), [8.7, 16, 32, 64], 1.0, 100, 0)
 
 
 def test_qv_regime_exponent_values():
@@ -200,6 +225,16 @@ def test_estimate_hurst_no_warning_inside_domain():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         estimate_hurst(p, (2, 4, 8, 16, 32, 64))
+
+
+def test_estimate_hurst_names_non_integer_scales():
+    # 2.7 was truncated to 2 and True to 1
+    p = simulate_fbm_exact(0.7, 2 ** 14, 1.0, 9)
+    for scales, bad in (([2.7, 4, 8], "2.7"), ([True, 4, 8], "True")):
+        with pytest.raises(ValueError, match=f"^scale must be an integer; got {bad}$"):
+            estimate_hurst(p, scales)
+    scales = np.array([2, 4, 8, 16, 32, 64])
+    assert estimate_hurst(p, scales).scales_used == (2, 4, 8, 16, 32, 64)
 
 
 def test_uneven_grids_are_rejected():
