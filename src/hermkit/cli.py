@@ -126,10 +126,18 @@ def _floats(raw: str, where: str) -> list[float]:
 
 
 def _ints(raw: str, where: str) -> list[int]:
-    vals = _floats(raw, where)
-    if any(v != int(v) for v in vals):
-        raise CliError(f"{where}: expected integers, got {raw!r}")
-    return [int(v) for v in vals]
+    try:
+        return [int(p) for p in raw.replace(",", " ").split()]
+    except ValueError:
+        raise CliError(f"{where}: expected integers, got {raw!r}") from None
+
+
+def _config_int(section: Mapping[str, str], key: str, where: str) -> int:
+    """``section[key]`` parsed exactly as an integer, with no float round trip."""
+    try:
+        return int(section[key])
+    except ValueError:
+        raise CliError(f"{where} {key} must be an integer; got {section[key]!r}") from None
 
 
 def _rate_from_section(
@@ -186,7 +194,8 @@ def load_config(path: str | Path) -> RunConfig:
         if "hurst" not in proc or "order" not in proc:
             raise CliError(f"{path}: [process] needs both hurst and order")
         try:
-            spec = HermiteSpec(float(proc["hurst"]), int(proc["order"]))
+            spec = HermiteSpec(float(proc["hurst"]),
+                               _config_int(proc, "order", f"{path}: [process]"))
         except ValueError as exc:
             raise CliError(f"{path}: [process] {exc}") from exc
 
@@ -244,7 +253,7 @@ def load_config(path: str | Path) -> RunConfig:
         sec = parser["run"]
         for key in ("seed", "paths", "steps"):
             if key in sec:
-                run[key] = int(sec[key])
+                run[key] = _config_int(sec, key, f"{path}: [run]")
         if "horizon" in sec:
             run["horizon"] = float(sec["horizon"])
     output = dict(parser["output"]) if parser.has_section("output") else {}
@@ -374,6 +383,7 @@ def _cmd_kernel(args, cfg, out_dir: Path, record: OutputRecord) -> None:
 
 
 def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
+    scales = _ints(args.scales, "--scales")
     try:
         with open(args.input, newline="") as buf:
             reader = csv.reader(buf)
@@ -393,7 +403,6 @@ def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
         path = SamplePath(times, values, spec=None, method="observed", seed=record.seed)
     except ValueError as exc:
         raise CliError(f"{args.input}: {exc}") from exc
-    scales = _ints(args.scales, "--scales")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         est = estimate_hurst(path, scales)

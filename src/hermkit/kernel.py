@@ -48,6 +48,25 @@ from typing import NamedTuple
 import numpy as np
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers, False for bools and all else."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int: the one integer rule of every layer.
+
+    Raises ValueError naming it unless :func:`_is_integer`, or if it is
+    below ``low``.  Integral floats are not integers here.
+    """
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}; got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class HermiteSpec:
     """Parameter pair (Hurst index, Hermite order) of a Hermite motion.
@@ -55,7 +74,8 @@ class HermiteSpec:
     ``hurst`` must lie strictly inside (1/2, 1); the boundary values are
     rejected because the kernel exponent degenerates there.  ``order`` is the
     number of white-noise factors: 1 for fractional Brownian motion, 2 for
-    the Rosenblatt process, and so on.
+    the Rosenblatt process, and so on; a Python or numpy integer >= 1
+    (:func:`_integer`: a bool or an integral float is not an order).
     """
 
     hurst: float
@@ -67,10 +87,8 @@ class HermiteSpec:
             raise ValueError(
                 f"hurst must lie strictly in (0.5, 1); got {self.hurst!r}"
             )
-        if int(self.order) != self.order or self.order < 1:
-            raise ValueError(f"order must be a positive integer; got {self.order!r}")
         object.__setattr__(self, "hurst", h)
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", _integer(self.order, "order", 1))
 
     @property
     def gamma(self) -> float:

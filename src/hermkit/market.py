@@ -214,8 +214,8 @@ class AssetPath:
             raise ValueError("times/prices must be equal-length 1-D arrays")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        if not np.all(prices > 0):
-            raise ValueError("prices must be strictly positive")
+        if not np.all((prices > 0) & (prices < np.inf)):
+            raise ValueError("prices must be strictly positive and finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "prices", prices)
 

@@ -21,12 +21,12 @@ cumulative-rate clock.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .kernel import _integer
 from .market import (
     AssetPath,
     BasicRate,
@@ -175,14 +175,10 @@ class PricingGrid:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite; got {value}")
-        for name in ("nx", "nt"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer; got {value!r}")
+        for name, low in (("nx", 2), ("nt", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not (0.0 < self.x_lo < self.x_hi):
             raise ValueError("need 0 < x_lo < x_hi")
-        if self.nx < 2 or self.nt < 1:
-            raise ValueError("need nx >= 2 and nt >= 1")
         if not (0.0 <= self.t_start <= self.t_end):
             raise ValueError("need 0 <= t_start <= t_end")
 

@@ -41,7 +41,6 @@ the calling thread.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -51,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import HermiteSpec
+from .kernel import HermiteSpec, _integer, _is_integer
 
 _METHODS = ("exact_fbm", "invariance_principle", "subordinated", "observed")
 
@@ -80,6 +79,8 @@ class SamplePath:
             raise ValueError("paths start at t=0 with value 0")
         if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("times and values must be finite")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}; got {self.method!r}")
         if self.spec is None and self.method != "observed":
@@ -107,22 +108,8 @@ class StratonovichConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.evaluation_point <= 1.0):
             raise ValueError("evaluation_point must lie in [0, 1]")
-        refinement = self.refinement
-        if refinement is not None and not (isinstance(refinement, numbers.Integral)
-                                           and refinement >= 1):
-            raise ValueError(f"refinement must be a positive integer; got {refinement!r}")
-
-
-def _is_integer(x) -> bool:
-    """True for Python and numpy integers, False for bools and all else."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; raises ValueError naming it unless :func:`_is_integer`."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer; got {value!r}")
-    return int(value)
+        if self.refinement is not None:
+            object.__setattr__(self, "refinement", _integer(self.refinement, "refinement", 1))
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -254,8 +241,6 @@ def _circulant_scales(hurst_prime: float, n: int) -> np.ndarray:
     """
     if not (0.5 < hurst_prime < 1.0):
         raise ValueError(f"hurst_prime must lie in (1/2, 1); got {hurst_prime}")
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws; got {n}")
     rho = fgn_covariance(hurst_prime, np.arange(n + 1))
     row = np.concatenate([rho[:-1], rho[:0:-1]])
     lam = np.fft.fft(row).real
@@ -324,8 +309,9 @@ def gen_fgn(hurst_prime: float, n: int, seed: int) -> np.ndarray:
     H' in (1/2, 1); two independent standard-normal vectors then produce an
     exact sample in O(n log n).  This is the only fGn route: an eigenvalue
     negative beyond roundoff raises FloatingPointError before any normal is
-    drawn.
+    drawn.  ``n`` is an integer >= 1.
     """
+    n = _integer(n, "n", 1)
     scales = _circulant_scales(hurst_prime, n)
     states = _row_states([seed])
     out = np.empty(n)
@@ -359,13 +345,12 @@ def hermite_polynomial(m: int, x):
     """Probabilists' Hermite polynomial He_m(x) by the three-term recurrence.
 
     He_0 = 1, He_1 = x, He_{m+1} = x*He_m - m*He_{m-1}; orthogonal under the
-    standard Gaussian with E[He_l(Z) He_m(Z)] = m! * [l == m].  Accepts
-    scalars or arrays.
+    standard Gaussian with E[He_l(Z) He_m(Z)] = m! * [l == m].  The order m
+    is an integer >= 0 (an integral float is not); x is a scalar or an array.
     """
-    if not (math.isfinite(m) and int(m) == m and m >= 0):
-        raise ValueError(f"order must be a nonnegative integer; got {m!r}")
+    m = _integer(m, "order", 0)
     x = np.asarray(x, dtype=float)
-    he = _hermite_into(int(m), x, *(np.empty_like(x) for _ in range(3)))
+    he = _hermite_into(m, x, *(np.empty_like(x) for _ in range(3)))
     return he if he.ndim else float(he)
 
 
@@ -389,12 +374,11 @@ _CHUNK_POINTS = 1 << 15
 
 def _grid_steps(n: int, horizon: float) -> int:
     """The step count ceil(n*T) of the grid k/n covering [0, T]; raises
-    unless n is a positive integer and T positive and finite."""
+    unless T is positive and finite and n an integer >= 1 (an integral
+    float is not)."""
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite; got {horizon}")
-    if not (n > 0 and float(n).is_integer()):
-        raise ValueError(f"steps per unit time must be a positive integer; got {n}")
-    return math.ceil(n * horizon)
+    return math.ceil(_integer(n, "steps per unit time", 1) * horizon)
 
 
 def _fill_chunk(order: int, norm: float, scales: np.ndarray, states: np.ndarray,
@@ -556,7 +540,7 @@ def _riemann_sites(f: np.ndarray, x: np.ndarray, config: StratonovichConfig):
     """
     intervals = x.shape[-1] - 1
     n = intervals if config.refinement is None else config.refinement
-    if n < 1 or intervals % n != 0:
+    if intervals % n != 0:
         raise ValueError(
             f"refinement {n} does not divide the {intervals} driver intervals"
         )

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import HermiteSpec, QuadResult
+from .kernel import HermiteSpec, QuadResult, _integer
 from .simulate import (
     _MAX_ROOT,
     SamplePath,
-    _integer,
-    _is_integer,
     _map_blocks,
     _run_seeds,
     fgn_covariance,
@@ -152,12 +150,9 @@ def qv_normalizer(
     ``error`` is the delta-method propagation of the second-moment standard
     error through the square root.
     """
-    n_blocks = _integer(n_blocks, "n_blocks")
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be at least 1; got {n_blocks}")
-    mc_paths = _integer(mc_paths, "mc_paths")
-    if mc_paths < 100:
-        raise ValueError("mc_paths must be at least 100 for a usable normalizer")
+    n_blocks = _integer(n_blocks, "n_blocks", 1)
+    mc_paths = _integer(mc_paths, "mc_paths", 100)  # fewer give no usable normalizer
+    steps_per_unit = _integer(steps_per_unit, "steps_per_unit", 1)
     v = _qv_paths(spec, n_blocks, block, mc_paths, seed, steps_per_unit)
     second = float(np.mean(v**2))
     se_second = float(np.std(v**2, ddof=1)) / math.sqrt(mc_paths)
@@ -195,6 +190,7 @@ def qv_ladder(
     Every cell's root and block count is checked before the first cell draws.
     """
     n_list = sorted(_integer(n, "n_blocks") for n in n_blocks_list)
+    seed = _integer(seed, "root seed")
     offset = _LADDER_STEP * (len(n_list) - 1)
     if not 0 <= seed < _MAX_ROOT - offset:
         raise ValueError(
@@ -249,7 +245,7 @@ def estimate_hurst(path: SamplePath, scales) -> HurstEstimate:
     with a floor of 0.02, since the regression se understates dispersion
     under dependent increments.
     """
-    scales = tuple(_integer(s, "scale") for s in scales)
+    scales = tuple(_integer(s, "scale", 1) for s in scales)
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
     _uniform_step(path.times)
@@ -258,8 +254,6 @@ def estimate_hurst(path: SamplePath, scales) -> HurstEstimate:
         raise ValueError("degenerate (constant) path")
     log_s, log_v = [], []
     for s in scales:
-        if s < 1:
-            raise ValueError(f"scale {s} must be at least 1 grid step")
         inc = x[s:] - x[:-s]
         if inc.size < 8:
             raise ValueError(f"scale {s} leaves fewer than 8 increments")
@@ -286,9 +280,7 @@ def lrd_coefficient(spec: HermiteSpec, max_lag: int) -> np.ndarray:
     :func:`lrd_limit`), i.e. covariances decay like n^(2H-2), slowly enough
     that their partial sums diverge.
     """
-    if not (_is_integer(max_lag) and max_lag >= 1):
-        raise ValueError(f"max_lag must be an integer >= 1; got {max_lag!r}")
-    lags = np.arange(1, max_lag + 1)
+    lags = np.arange(1, _integer(max_lag, "max_lag", 1) + 1)
     return lags ** (2.0 - 2.0 * spec.hurst) * fgn_covariance(spec.hurst, lags)
 
 

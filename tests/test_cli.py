@@ -396,6 +396,52 @@ def test_estimate_rejects_an_uneven_grid(tmp_path, capsys):
     assert not (out / "estimate.json").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_estimate_rejects_non_finite_values(tmp_path, capsys, bad):
+    # a NaN once gave "hurst_hat": NaN, which strict JSON parsers reject
+    data = tmp_path / "path.csv"
+    data.write_text("t,value\n" + "".join(
+        f"{k / 64!r},{bad if k == 20 else repr(0.01 * k * (-1) ** k)}\n" for k in range(65)))
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", str(data), "--out", str(out)]) == 2
+    assert f"error: {data}: times and values must be finite" in capsys.readouterr().err
+    assert not (out / "estimate.json").exists()
+
+
+@pytest.mark.parametrize("section, key, raw", [("run", "seed", "2.5"), ("run", "paths", "1e3"),
+                                               ("run", "steps", "64.0"),
+                                               ("process", "order", "2.0")])
+def test_config_integers_name_their_file_section_and_key(tmp_path, capsys, section, key, raw):
+    body = {"process": {"hurst": "0.7", "order": "1"}, "run": {}}
+    body[section][key] = raw
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                           for name, entries in body.items()))
+    assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: {cfg}: [{section}] {key} must be an integer; got {raw!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["qv", "--hurst", "0.6", "--order", "1", "--blocks", "inf,8"],
+                                  ["qv", "--hurst", "0.6", "--order", "1", "--blocks", "8.0,16"],
+                                  ["estimate", "--input", "unread.csv", "--scales", "2,4.0,8"]])
+def test_integer_lists_are_parsed_exactly(tmp_path, capsys, argv):
+    # "inf" once exited 1 as a numerical failure, and "8.0" passed as 8
+    flag, raw = argv[-2:]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"error: {flag}: expected integers, got {raw!r}" in capsys.readouterr().err
+
+
+def test_config_seed_is_parsed_exactly(tmp_path):
+    # 2^53 + 1 is the first integer a float round trip would change
+    seed = 2**53 + 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[process]\nhurst = 0.7\norder = 1\n[run]\nseed = {seed}\n")
+    assert load_config(cfg).run["seed"] == seed
+    assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path, "kernel.json")["seed"] == seed
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     target = tmp_path / "env-out"
     monkeypatch.setenv("HERMKIT_OUT", str(target))

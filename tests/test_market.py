@@ -175,6 +175,9 @@ def test_asset_path_reads():
         path.at(2.5)
     with pytest.raises(ValueError, match="positive"):
         AssetPath(times=times, prices=times - 1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^prices must be strictly positive and finite$"):
+            AssetPath(times=times, prices=np.where(times == 1.0, bad, 1.0))
 
 
 def test_riskless_path_matches_price():

@@ -75,12 +75,14 @@ def test_hermite_polynomial_values():
     assert np.allclose(hermite_polynomial(2, x), x ** 2 - 1)
     assert np.allclose(hermite_polynomial(3, x), x ** 3 - 3 * x)
     assert np.allclose(hermite_polynomial(4, x), x ** 4 - 6 * x ** 2 + 3)
-    assert np.array_equal(hermite_polynomial(2.0, x), hermite_polynomial(2, x))
+    assert np.array_equal(hermite_polynomial(np.int64(2), x), hermite_polynomial(2, x))
 
 
-@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, -1, 1.5])
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, -1, 1.5, 2.0, True])
 def test_hermite_polynomial_names_a_bad_order(order):
-    with pytest.raises(ValueError, match=re.escape(f"nonnegative integer; got {order!r}")):
+    rule = "at least 0" if type(order) is int else "an integer"
+    message = f"order must be {rule}; got {order!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         hermite_polynomial(order, 1.0)
 
 
@@ -107,6 +109,16 @@ def test_sample_path_validation():
         SamplePath(np.array([0.0, 0.5, 0.5]), values, None, "observed", 0)
     with pytest.raises(ValueError, match="method"):
         SamplePath(times, values, None, "bogus", 0)
+
+
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 0.5, 1.0], [0.0, math.nan, -0.1]),
+    ([0.0, 0.5, 1.0], [0.0, 0.2, math.inf]),
+    ([0.0, 0.5, math.inf], [0.0, 0.2, -0.1]),
+])
+def test_sample_path_values_and_times_are_finite(times, values):
+    with pytest.raises(ValueError, match="^times and values must be finite$"):
+        SamplePath(np.array(times), np.array(values), None, "observed", 0)
 
 
 def test_only_observed_paths_lack_a_spec():
@@ -150,9 +162,10 @@ def test_fbm_horizon_and_steps():
             subordinate(HermiteSpec(0.6, 1), 32, horizon, 0)
 
 
-@pytest.mark.parametrize("n", [8.5, math.nan, math.inf, 0, -4])
+@pytest.mark.parametrize("n", [8.5, math.nan, math.inf, 64.0, True, 0, -4])
 def test_steps_per_unit_time_must_be_a_positive_integer(n):
-    message = re.escape(f"steps per unit time must be a positive integer; got {n}")
+    rule = "at least 1" if type(n) is int else "an integer"
+    message = f"^{re.escape(f'steps per unit time must be {rule}; got {n}')}$"
     with pytest.raises(ValueError, match=message):
         simulate_paths(HermiteSpec(0.6, 1), n, 1.0, [0])
     with pytest.raises(ValueError, match=message):
@@ -585,9 +598,10 @@ def test_stratonovich_validation():
         stratonovich_integral(p.values[:-1], p)
     with pytest.raises(ValueError, match="divide"):
         stratonovich_integral(p.values, p, StratonovichConfig(0.5, 3))
-    for refinement in (2.5, 0, -4, math.nan):
-        with pytest.raises(ValueError, match=re.escape(
-                f"refinement must be a positive integer; got {refinement!r}")):
+    for refinement in (2.5, 0, -4, math.nan, True):
+        rule = "at least 1" if type(refinement) is int else "an integer"
+        message = f"refinement must be {rule}; got {refinement!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             StratonovichConfig(0.5, refinement)
 
 

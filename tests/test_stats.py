@@ -255,7 +255,7 @@ def test_estimate_hurst_validation():
         estimate_hurst(p, (2, 4))
     with pytest.raises(ValueError, match="fewer than 8"):
         estimate_hurst(p, (2, 4, 60))
-    with pytest.raises(ValueError, match="scale 0 must be at least 1 grid step"):
+    with pytest.raises(ValueError, match="^scale must be at least 1; got 0$"):
         estimate_hurst(p, (0, 2, 4))
     flat = SamplePath(p.times, np.zeros_like(p.values), None, "observed", 0)
     with pytest.raises(ValueError, match="degenerate"):
@@ -274,7 +274,8 @@ def test_lrd_coefficient_approaches_limit(h):
 
 @pytest.mark.parametrize("max_lag", [2.5, 0, True, math.nan])
 def test_lrd_coefficient_names_a_bad_lag_count(max_lag):
-    message = f"max_lag must be an integer >= 1; got {max_lag!r}"
+    rule = "at least 1" if type(max_lag) is int else "an integer"
+    message = f"max_lag must be {rule}; got {max_lag!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lrd_coefficient(HermiteSpec(0.7, 1), max_lag)
     assert lrd_coefficient(HermiteSpec(0.7, 1), np.int64(3)).shape == (3,)
