@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .kernel import HermiteSpec, kernel_l2_norm_sq, normalizing_constant
+from .kernel import HermiteSpec, _time, kernel_l2_norm_sq, normalizing_constant
 from .market import (
     AssetPath,
     BasicRate,
@@ -132,12 +132,21 @@ def _ints(raw: str, where: str) -> list[int]:
         raise CliError(f"{where}: expected integers, got {raw!r}") from None
 
 
-def _config_int(section: Mapping[str, str], key: str, where: str) -> int:
-    """``section[key]`` parsed exactly as an integer, with no float round trip."""
+_CONFIG_KINDS = {float: "a number", int: "an integer", list: "a comma-separated number list"}
+
+
+def _config_value(section: Mapping[str, str], key: str, where: str, kind=float):
+    """``section[key]`` read as ``kind``: ``float``, ``int`` (exactly, with
+    no float round trip) or ``list`` (of numbers).  The one reader of config
+    values; raises CliError naming ``where`` (file and section) and the key
+    when the key is missing or its value does not parse."""
+    if key not in section:
+        raise CliError(f"{where}: missing key {key!r}")
+    raw = section[key]
     try:
-        return int(section[key])
+        return [float(p) for p in raw.replace(",", " ").split()] if kind is list else kind(raw)
     except ValueError:
-        raise CliError(f"{where} {key} must be an integer; got {section[key]!r}") from None
+        raise CliError(f"{where} {key} must be {_CONFIG_KINDS[kind]}; got {raw!r}") from None
 
 
 def _rate_from_section(
@@ -146,25 +155,16 @@ def _rate_from_section(
     kind = section.get(prefix + "kind", "constant").strip()
     try:
         if kind == "constant":
-            key = prefix + "value"
-            if key not in section:
-                raise CliError(f"{where}: missing key {key!r}")
-            return BasicRate.constant(float(section[key]))
+            return BasicRate.constant(_config_value(section, prefix + "value", where))
         if kind == "polynomial":
-            key = prefix + "coeffs"
-            if key not in section:
-                raise CliError(f"{where}: missing key {key!r}")
-            coeffs = _floats(section[key], where)
-            horizon = float(section.get(prefix + "horizon", "10.0"))
-            return BasicRate.polynomial(coeffs, horizon=horizon)
-        if kind == "table":
-            for key in (prefix + "times", prefix + "values"):
-                if key not in section:
-                    raise CliError(f"{where}: missing key {key!r}")
-            return BasicRate.table(
-                _floats(section[prefix + "times"], where),
-                _floats(section[prefix + "values"], where),
+            horizon = prefix + "horizon"
+            return BasicRate.polynomial(
+                _config_value(section, prefix + "coeffs", where, list),
+                horizon=_config_value(section, horizon, where) if horizon in section else 10.0,
             )
+        if kind == "table":
+            return BasicRate.table(_config_value(section, prefix + "times", where, list),
+                                   _config_value(section, prefix + "values", where, list))
     except ValueError as exc:
         raise CliError(f"{where}: {exc}") from exc
     raise CliError(f"{where}: unknown rate kind {kind!r} "
@@ -182,7 +182,7 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # "5%" is a bad number, not a crash
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -190,12 +190,10 @@ def load_config(path: str | Path) -> RunConfig:
 
     spec = None
     if parser.has_section("process"):
-        proc = parser["process"]
-        if "hurst" not in proc or "order" not in proc:
-            raise CliError(f"{path}: [process] needs both hurst and order")
+        proc, where = parser["process"], f"{path}: [process]"
+        hurst, order = _config_value(proc, "hurst", where), _config_value(proc, "order", where, int)
         try:
-            spec = HermiteSpec(float(proc["hurst"]),
-                               _config_int(proc, "order", f"{path}: [process]"))
+            spec = HermiteSpec(hurst, order)
         except ValueError as exc:
             raise CliError(f"{path}: [process] {exc}") from exc
 
@@ -206,15 +204,14 @@ def load_config(path: str | Path) -> RunConfig:
         riskless = _rate_from_section(parser["riskless"], "", f"{path}: [riskless]")
         asset_names = sorted(
             (s for s in parser.sections() if s.startswith("asset.")),
-            key=lambda s: int(s.split(".", 1)[1]),
+            key=lambda s: _config_value({"number": s[6:]}, "number", f"{path}: [{s}] section",
+                                        int),
         )
         prices, drifts, dividends = [], [], []
         for name in asset_names:
             sec = parser[name]
             where = f"{path}: [{name}]"
-            if "price" not in sec:
-                raise CliError(f"{where}: missing key 'price'")
-            prices.append(float(sec["price"]))
+            prices.append(_config_value(sec, "price", where))
             drifts.append(_rate_from_section(sec, "drift_", where))
             if any(k.startswith("dividend_") for k in sec):
                 dividends.append(_rate_from_section(sec, "dividend_", where))
@@ -227,13 +224,9 @@ def load_config(path: str | Path) -> RunConfig:
             dividends = [BasicRate.constant(0.0)]
         d = len(prices)
         if parser.has_section("volatility"):
-            rows = []
-            for j in range(1, d + 1):
-                key = f"row{j}"
-                if key not in parser["volatility"]:
-                    raise CliError(f"{path}: [volatility] missing {key!r}")
-                rows.append(_floats(parser["volatility"][key], f"{path}: [volatility]"))
-            volatility = np.array(rows)
+            volatility = np.array([
+                _config_value(parser["volatility"], f"row{j}", f"{path}: [volatility]", list)
+                for j in range(1, d + 1)])
         else:
             volatility = np.eye(d)
         try:
@@ -251,11 +244,9 @@ def load_config(path: str | Path) -> RunConfig:
     run = {}
     if parser.has_section("run"):
         sec = parser["run"]
-        for key in ("seed", "paths", "steps"):
+        for key, kind in (("seed", int), ("paths", int), ("steps", int), ("horizon", float)):
             if key in sec:
-                run[key] = _config_int(sec, key, f"{path}: [run]")
-        if "horizon" in sec:
-            run["horizon"] = float(sec["horizon"])
+                run[key] = _config_value(sec, key, f"{path}: [run]", kind)
     output = dict(parser["output"]) if parser.has_section("output") else {}
     return RunConfig(spec=spec, market=market, run=run, output=output, text=text)
 
@@ -492,7 +483,7 @@ def _cmd_price_forward(args, cfg, out_dir: Path, record: OutputRecord) -> None:
 def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
     spec = market.spec
-    horizon = float(args.horizon)
+    horizon = _time(float(args.horizon), "horizon")
     times = np.linspace(0.0, horizon, 16 * int(args.grid) + 1)
     skeleton = market.initial_prices[0] * np.exp(
         cumulative_rate(spec, market.drifts[0], times)
@@ -537,6 +528,7 @@ def _cmd_curve(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     maturities = _floats(args.maturities, "--maturities")
     if not maturities:
         raise CliError(f"--maturities needs at least one maturity; got {args.maturities!r}")
+    _time(maturities, "maturity")
     spec, riskless = market.spec, market.riskless
     # one array call each: the anchor's cumulative rate rides in front
     cum = cumulative_rate(spec, riskless, np.array([args.t, *maturities]))

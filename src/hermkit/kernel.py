@@ -67,6 +67,27 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return value
 
 
+def _time(value, name: str, positive: bool = False):
+    """``value`` unchanged: the one time rule of every layer.
+
+    A time is a finite real >= 0, a span (``positive``) a finite real > 0;
+    ``value`` is a Python float, a numpy scalar or an array.  Raises
+    ValueError naming ``name`` and the first bad entry.  A Python float (or
+    np.float64) costs two comparisons and no numpy call."""
+    if isinstance(value, float):
+        if 0.0 <= value < math.inf and (value > 0.0 or not positive):
+            return value
+        first = value
+    else:
+        arr = np.asarray(value, dtype=float)
+        bad = ~((arr > 0.0 if positive else arr >= 0.0) & (arr < math.inf))
+        if not bad.any():
+            return value
+        first = arr[bad].flat[0]
+    rule = "positive" if positive else "nonnegative"
+    raise ValueError(f"{name} must be {rule} and finite; got {first}")
+
+
 @dataclass(frozen=True)
 class HermiteSpec:
     """Parameter pair (Hurst index, Hermite order) of a Hermite motion.
@@ -174,8 +195,7 @@ def eval_kernel(spec: HermiteSpec, t: float, v) -> float:
     Raises ValueError for a negative or non-finite ``t`` or a non-finite
     coordinate.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be nonnegative and finite; got {t}")
+    _time(t, "t")
     # Canonical descending order makes the result exactly permutation-invariant.
     coords = np.sort(_check_coords(spec, v))[::-1]
     g = spec.gamma
@@ -262,8 +282,7 @@ def kernel_l2_norm_sq(spec: HermiteSpec, t: float) -> float:
     """Squared L2 norm ||K_t||^2 = ||K_1||^2 * t^(2H) over R^order, exact for
     every order.  Raises OverflowError when the value is not a finite double.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite; got {t}")
+    _time(t, "t", positive=True)
     norm_sq_at_1 = _constants(spec).l2_norm_at_1 ** 2
     try:
         value = norm_sq_at_1 * t ** (2.0 * spec.hurst)
@@ -298,14 +317,8 @@ def covariance(spec: HermiteSpec, s, t):
     t^(2H) on the diagonal and 0 whenever either argument is 0.  Raises
     ValueError on a negative or non-finite time.
     """
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    for name, arr in (("s", s_arr), ("t", t_arr)):
-        bad = arr[~((arr >= 0) & (arr < np.inf))]
-        if bad.size:
-            raise ValueError(
-                f"covariance requires nonnegative finite times; got {name}={bad[0]}"
-            )
+    s_arr = _time(np.asarray(s, dtype=float), "s")
+    t_arr = _time(np.asarray(t, dtype=float), "t")
     h2 = 2.0 * spec.hurst
     out = 0.5 * (t_arr**h2 + s_arr**h2 - np.abs(t_arr - s_arr) ** h2)
     if np.isscalar(s) and np.isscalar(t):

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import HermiteSpec, d_constant, eval_kernel
+from .kernel import HermiteSpec, _time, d_constant, eval_kernel
 from .simulate import SamplePath, StratonovichConfig, _riemann_sites
 
 _RATE_KINDS = ("constant", "polynomial", "table")
@@ -64,9 +64,8 @@ class BasicRate:
         if (self.horizon is None) == (self.kind == "polynomial"):
             raise ValueError("a polynomial rate needs a horizon, and no other kind "
                              f"takes one; got {self.kind} with horizon {self.horizon}")
-        if self.horizon is not None and not 0 < self.horizon < math.inf:
-            raise ValueError(f"polynomial horizon must be positive and finite; "
-                             f"got {self.horizon}")
+        if self.horizon is not None:
+            _time(self.horizon, "polynomial horizon", positive=True)
 
     @classmethod
     def constant(cls, value: float) -> "BasicRate":
@@ -149,26 +148,28 @@ def cumulative_rate(spec: HermiteSpec, rate: BasicRate, t):
 
     This is the full integral of the kernel-weighted rate field against the
     kernel, collapsed by the norm identity ||K_t||^2 = ||K_1||^2 t^(2H).
-    Accepts scalar or array t >= 0; exactly 0 at t = 0.  Raises
-    ``ValueError`` on a negative or NaN time, and past a polynomial rate's
-    horizon.  t^(2H) is numpy's array power even for a scalar t (a 0-d
-    array), so a time gives the same bits alone and inside an array:
-    Python's scalar power differs from it in the last bit for about 5 % of
-    inputs.
+    Takes a time t, scalar or array, under the time rule (finite, >= 0;
+    :func:`kernel._time` raises ``ValueError`` naming ``t``); exactly 0 at
+    t = 0.  Raises ``ValueError`` past a polynomial rate's horizon too.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not (t_arr >= 0).all():
-        raise ValueError("cumulative rate requires t >= 0")
-    out = d_constant(spec) * rate(t_arr) * t_arr ** (2.0 * spec.hurst)
+    out = _cumulative(spec, rate, _time(np.asarray(t, dtype=float), "t"))
     return float(out) if np.isscalar(t) else out
+
+
+def _cumulative(spec: HermiteSpec, rate: BasicRate, t_arr: np.ndarray) -> np.ndarray:
+    """:func:`cumulative_rate` of checked times.  t^(2H) is numpy's array
+    power even for one time (a 0-d array), so a time gives the same bits
+    alone and inside an array: Python's scalar power differs from it in the
+    last bit for about 5 % of inputs."""
+    return d_constant(spec) * rate(t_arr) * t_arr ** (2.0 * spec.hurst)
 
 
 def _rate_rise(spec: HermiteSpec, rate: BasicRate, t: float, u: float) -> float:
     """The cumulative-rate rise cumulative_rate(u) - cumulative_rate(t)
-    from scalar time t to scalar time u, as a Python float, from one
-    cumulative_rate call on the pair (t, u): the same bits as two scalar
-    calls, with one call's fixed numpy cost."""
-    ends = cumulative_rate(spec, rate, np.array((t, u), dtype=float))
+    from time t to time u, as a Python float, from one :func:`_cumulative`
+    call on the pair (t, u): the same bits as two scalar calls, with one
+    call's fixed numpy cost.  The caller checks t and u."""
+    ends = _cumulative(spec, rate, np.array((t, u), dtype=float))
     return float(ends[1] - ends[0])
 
 
@@ -178,11 +179,10 @@ def instantaneous_rate(spec: HermiteSpec, rate: BasicRate, t):
     Exact product rule D*(rate'(t) t^(2H) + 2H rate(t) t^(2H-1)) for every
     kind, with :meth:`BasicRate.derivative` giving rate'(t) (a table rate's
     right derivative at its nodes).  Returns 0 at t = 0 (the continuous
-    extension: 2H > 1 makes t^(2H-1) vanish there).
+    extension: 2H > 1 makes t^(2H-1) vanish there).  t follows the time
+    rule, as in :func:`cumulative_rate`.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr >= 0):
-        raise ValueError("instantaneous rate requires t >= 0")
+    t_arr = _time(np.asarray(t, dtype=float), "t")
     h2 = 2.0 * spec.hurst
     with np.errstate(invalid="ignore"):
         out = d_constant(spec) * (
@@ -268,7 +268,7 @@ class MarketSpec:
                 raise ValueError(f"constant volatility must have shape ({d}, {d}); "
                                  f"got {vol.shape}")
         else:
-            vt = np.asarray(self.volatility_times, dtype=float)
+            vt = _time(np.asarray(self.volatility_times, dtype=float), "volatility time")
             if vt.ndim != 1 or np.any(np.diff(vt) <= 0):
                 raise ValueError("volatility_times must be strictly increasing")
             if vol.shape != (vt.size, d, d):
@@ -289,9 +289,8 @@ class MarketSpec:
         return self.volatility_times is None
 
     def sigma(self, t: float) -> np.ndarray:
-        """Volatility matrix at time t; a NaN time raises ValueError."""
-        if math.isnan(t):
-            raise ValueError(f"volatility time must not be NaN; got {t}")
+        """Volatility matrix at time t, under the time rule (finite, >= 0)."""
+        _time(t, "volatility time")
         if self.volatility_times is None:
             return self.volatility
         vt = self.volatility_times

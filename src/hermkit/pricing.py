@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import _integer
+from .kernel import _integer, _time
 from .market import (
     AssetPath,
     BasicRate,
@@ -35,7 +35,7 @@ from .market import (
     cumulative_rate,
     instantaneous_rate,
 )
-from .simulate import _CHUNK_POINTS, SamplePath
+from .simulate import _CHUNK_POINTS
 
 def __getattr__(name: str):
     """``CubicSpline`` and ``brentq``, imported from scipy on first lookup.
@@ -258,7 +258,8 @@ def price_characteristics(
     every rate integral taken as an exact cumulative-rate rise from t to the
     horizon.  A one-asset market hands the payoff one Python float.
     """
-    if horizon < t:
+    _time(t, "t")
+    if _time(horizon, "horizon") < t:
         raise ValueError("horizon must not precede the valuation time")
     x_vec = np.atleast_1d(np.asarray(x, dtype=float))
     if not (x_vec > 0).all():
@@ -384,9 +385,8 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
 
 def bond_price(market: MarketSpec, t: float, maturity: float) -> float:
     """Zero-coupon discount Lambda(t, T) = M(t)/M(T) = exp(-(r_cum(T) - r_cum(t)))."""
-    if not t >= 0:
-        raise ValueError("anchor time must be nonnegative")
-    if maturity < t:
+    _time(t, "t")
+    if _time(maturity, "maturity") < t:
         raise ValueError("maturity precedes the anchor time")
     return math.exp(-_rate_rise(market.spec, market.riskless, t, maturity))
 
@@ -399,10 +399,8 @@ def term_structure(market: MarketSpec, anchors, maturities) -> TermStructure:
     with T < t exceed 1; the multiplicativity identity holds across the
     whole grid.
     """
-    a = np.asarray(anchors, dtype=float)
-    m = np.asarray(maturities, dtype=float)
-    if not (np.all(a >= 0) and np.all(m >= 0)):
-        raise ValueError("grid times must be nonnegative")
+    a = _time(np.asarray(anchors, dtype=float), "anchor")
+    m = _time(np.asarray(maturities, dtype=float), "maturity")
     spec = market.spec
     rc_a = cumulative_rate(spec, market.riskless, a)
     rc_m = cumulative_rate(spec, market.riskless, m)
@@ -428,20 +426,13 @@ def forward_value(
     perpetual form -S(u) + S(t) exp(r_cum(u) - r_cum(t)) valid for every
     u >= t (and exactly 0 at inception u = t).
     """
-    if u < t:
+    _time(t, "t")
+    if _time(u, "u") < t:
         raise ValueError("valuation time precedes the inception time")
-    if maturity < t:
+    if _time(maturity, "maturity") < t:
         raise ValueError("maturity precedes the inception time")
     growth = math.exp(_rate_rise(market.spec, market.riskless, t, u))
     return -path.at(u) + path.at(t) * growth
-
-
-def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(path, AssetPath):
-        return path.times, path.prices
-    if isinstance(path, SamplePath):
-        return path.times, path.values
-    raise TypeError("path must be an AssetPath or SamplePath")
 
 
 def _interp_at_path(x_grid: np.ndarray, xp: np.ndarray, j: np.ndarray,
@@ -574,7 +565,9 @@ def futures_march(
     """
     if grid.t_start != 0.0:
         raise ValueError("the futures integral starts at t = 0; grid.t_start must be 0")
-    times_p, values_p = _path_arrays(path)
+    if not isinstance(path, AssetPath):
+        raise TypeError(f"path must be an AssetPath; got {type(path).__name__}")
+    times_p, values_p = path.times, path.prices
     x_grid = np.linspace(grid.x_lo, grid.x_hi, grid.nx)
     psi0 = _profile_at(initial_profile, x_grid, 0.0)
 

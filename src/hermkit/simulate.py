@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import HermiteSpec, _integer, _is_integer
+from .kernel import HermiteSpec, _integer, _is_integer, _time
 
 _METHODS = ("exact_fbm", "invariance_principle", "subordinated", "observed")
 
@@ -354,14 +354,17 @@ def hermite_polynomial(m: int, x):
     return he if he.ndim else float(he)
 
 
-@lru_cache(maxsize=256)
+# typed: the check below must see 64.0 and True, which equal cached 64 and 1
+@lru_cache(maxsize=256, typed=True)
 def partial_sum_std(spec: HermiteSpec, n: int) -> float:
     """Exact standard deviation of sum_{j<n} He_k(xi_j) for fGn xi at H'.
 
     Uses E[He_k(xi_0) He_k(xi_i)] = k! * rho(i)^k, so the variance is
     k! * sum_{|i|<n} (n - |i|) rho(i)^k — an O(n) computation that replaces
-    the asymptotic normalizer and pins Var at one path-unit exactly.
+    the asymptotic normalizer and pins Var at one path-unit exactly.  ``n``
+    is an integer >= 1.
     """
+    n = _integer(n, "n", 1)
     k = spec.order
     rho = fgn_covariance(spec.hurst_prime, np.arange(n))
     weights = n - np.arange(n, dtype=float)
@@ -376,8 +379,7 @@ def _grid_steps(n: int, horizon: float) -> int:
     """The step count ceil(n*T) of the grid k/n covering [0, T]; raises
     unless T is positive and finite and n an integer >= 1 (an integral
     float is not)."""
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite; got {horizon}")
+    _time(horizon, "horizon", positive=True)
     return math.ceil(_integer(n, "steps per unit time", 1) * horizon)
 
 

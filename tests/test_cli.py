@@ -139,21 +139,38 @@ def test_bad_counts_and_horizon_exit_2_before_drawing(tmp_path, capsys, argv, ru
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, riskless", [
-    pytest.param(["price", "perpetual", "--alpha", "0.4", "--spot", "nan"],
-                 "kind = constant\nvalue = 0.05\n", id="nan-spot"),
+_CONSTANT_RISKLESS = "kind = constant\nvalue = 0.05\n"
+
+
+@pytest.mark.parametrize("argv, riskless, named", [
+    pytest.param(["price", "perpetual", "--alpha", "0.4", "--spot", "nan"], _CONSTANT_RISKLESS,
+                 "price coordinates must be strictly positive", id="nan-spot"),
     pytest.param(["price", "bond", "--T", "1"],
-                 "kind = table\ntimes = 0, 2\nvalues = 0.05, nan\n", id="nan-table-rate"),
+                 "kind = table\ntimes = 0, 2\nvalues = 0.05, nan\n",
+                 "table rate parameters must be finite", id="nan-table-rate"),
     pytest.param(["price", "bond", "--T", "1"],
                  "kind = table\ntimes = 0, nan, 2\nvalues = 0.05, 0.05, 0.05\n",
-                 id="nan-table-time"),
+                 "table times must be strictly increasing", id="nan-table-time"),
+    pytest.param(["price", "perpetual", "--alpha", "0.4", "--horizon", "inf"], _CONSTANT_RISKLESS,
+                 "horizon must be nonnegative and finite; got inf",
+                 id="infinite-perpetual-horizon"),
+    pytest.param(["curve", "--maturities", "1,inf"], _CONSTANT_RISKLESS,
+                 "maturity must be nonnegative and finite; got inf", id="infinite-curve-maturity"),
+    pytest.param(["price", "bond", "--t", "inf", "--T", "inf"], _CONSTANT_RISKLESS,
+                 "t must be nonnegative and finite; got inf", id="infinite-bond-times"),
+    pytest.param(["price", "forward", "--t", "inf", "--T", "inf", "--spot", "1"],
+                 _CONSTANT_RISKLESS, "t must be nonnegative and finite; got inf",
+                 id="infinite-forward-times"),
+    pytest.param(["price", "futures", "--horizon", "inf", "--grid", "8"], _CONSTANT_RISKLESS,
+                 "horizon must be nonnegative and finite; got inf", id="infinite-futures-horizon"),
 ])
-def test_nan_market_inputs_exit_2(tmp_path, capsys, argv, riskless):
+def test_nan_market_inputs_exit_2(tmp_path, capsys, argv, riskless, named):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[process]\nhurst = 0.7\norder = 1\n[riskless]\n" + riskless)
     out = tmp_path / "out"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert list(tmp_path.glob("out/*")) == []
 
 
@@ -408,17 +425,33 @@ def test_estimate_rejects_non_finite_values(tmp_path, capsys, bad):
     assert not (out / "estimate.json").exists()
 
 
-@pytest.mark.parametrize("section, key, raw", [("run", "seed", "2.5"), ("run", "paths", "1e3"),
-                                               ("run", "steps", "64.0"),
-                                               ("process", "order", "2.0")])
+_CONFIG_LISTS = ("coeffs", "dividend_times", "row1")
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    ("run", "seed", "2.5"), ("run", "paths", "1e3"), ("run", "steps", "64.0"),
+    ("process", "order", "2.0"), ("process", "hurst", "abc"), ("run", "horizon", "x"),
+    ("riskless", "horizon", "ten"), ("asset.1", "price", "abc"),
+    ("asset.1", "drift_value", "8%"), ("riskless", "coeffs", "0.05, x"),
+    ("asset.1", "dividend_times", "0, one"), ("volatility", "row1", "0.2 0..3"),
+    # a section named asset.<not an integer> fails on its number
+    ("asset.one", "section number", "one"), ("asset.2.5", "section number", "2.5"),
+])
 def test_config_integers_name_their_file_section_and_key(tmp_path, capsys, section, key, raw):
-    body = {"process": {"hurst": "0.7", "order": "1"}, "run": {}}
-    body[section][key] = raw
+    body = {"process": {"hurst": "0.7", "order": "1"},
+            "riskless": {"kind": "polynomial", "coeffs": "0.05, 0.01", "horizon": "2.0"},
+            "asset.1": {"price": "1.0", "drift_value": "0.08", "dividend_kind": "table",
+                        "dividend_times": "0, 1", "dividend_values": "0.0, 0.01"},
+            "volatility": {"row1": "0.2"}, "run": {}}
+    body.setdefault(section, {})[key] = raw
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
                            for name, entries in body.items()))
+    rule = ("a comma-separated number list" if key in _CONFIG_LISTS
+            else "an integer" if key in ("seed", "paths", "steps", "order", "section number")
+            else "a number")
     assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert (f"error: {cfg}: [{section}] {key} must be an integer; got {raw!r}"
+    assert (f"error: {cfg}: [{section}] {key} must be {rule}; got {raw!r}"
             in capsys.readouterr().err)
 
 

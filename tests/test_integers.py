@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermkit as hk
+from hermkit.simulate import partial_sum_std
 
 SPEC = hk.HermiteSpec(0.7, 1)
 PATH = hk.simulate_fbm_exact(0.7, 64, 1.0, 0)
@@ -38,6 +39,7 @@ PARAMETERS = {
                              lambda v: hk.simulate_fbm_exact(0.7, v, 1.0, 0).values),
     "subordinate.n": ("steps per unit time", 1,
                       lambda v: hk.subordinate(SPEC, v, 1.0, 0).values),
+    "partial_sum_std.n": ("n", 1, lambda v: partial_sum_std(SPEC, v)),
     "StratonovichConfig.refinement": ("refinement", 1,
                                       lambda v: hk.StratonovichConfig(0.5, v)),
     "qv_normalizer.n_blocks": ("n_blocks", 1, lambda v: hk.qv_normalizer(SPEC, v, 1.0, 100, 0)),
@@ -67,6 +69,7 @@ IN_RANGE = {
     "simulate_hermite_path.seed": (0, 2**64 - 1),
     "simulate_fbm_exact.n": (1, 64),
     "subordinate.n": (1, 64),
+    "partial_sum_std.n": (1, 64),
     "StratonovichConfig.refinement": (1, 1000),
     "qv_normalizer.n_blocks": (1, 4),
     "qv_normalizer.mc_paths": (100, 120),

@@ -291,8 +291,10 @@ _MARKET = MarketSpec(
          "inf"),
         (lambda: solve_market_price_of_risk(_MARKET, math.nan, [0.1, -0.2]), "nan"),
         (lambda: solve_market_price_of_risk(_MARKET, 1.0, [0.1, math.nan]), "nan"),
-        (lambda: covariance(HermiteSpec(0.7, 2), math.nan, 1.0), "s=nan"),
-        (lambda: covariance(HermiteSpec(0.7, 2), 1.0, np.array([0.5, math.inf])), "t=inf"),
+        (lambda: covariance(HermiteSpec(0.7, 2), math.nan, 1.0),
+         "^s must be nonnegative and finite; got nan$"),
+        (lambda: covariance(HermiteSpec(0.7, 2), 1.0, np.array([0.5, math.inf])),
+         "^t must be nonnegative and finite; got inf$"),
     ],
     ids=["t-nan-k2", "v-nan-k2", "t-nan-k3", "v-nan-k3", "t-inf-k2", "t-inf-k3",
          "batch-v-inf", "risk-t-nan", "risk-v-nan", "cov-s-nan", "cov-t-inf"],

@@ -238,7 +238,8 @@ def test_sigma_names_a_nan_time():
         volatility_times=np.array([0.0, 1.0]),
     )
     for market in (tabulated, _market()):
-        with pytest.raises(ValueError, match=r"^volatility time must not be NaN; got nan$"):
+        with pytest.raises(ValueError,
+                           match=r"^volatility time must be nonnegative and finite; got nan$"):
             market.sigma(math.nan)
     assert np.allclose(tabulated.sigma(0.5), [[0.25]], rtol=1e-15, atol=0.0)
 

@@ -701,6 +701,15 @@ def test_futures_march_rejects_a_falling_cumulative_rate():
     assert np.all(np.isfinite(field.residual))
 
 
+def test_futures_march_takes_an_asset_path_only():
+    # a SamplePath starts at 0, below every admissible x grid (x_lo > 0)
+    m = _futures_market()
+    path = _futures_path(m)
+    sample = SamplePath(path.times, path.prices - path.prices[0], SPEC, "exact_fbm", 0)
+    with pytest.raises(TypeError, match="^path must be an AssetPath; got SamplePath$"):
+        futures_march(_profile, sample, m, PricingGrid(0.4, 3.4, 16, 16, 0.0, 1.0))
+
+
 def _residual_oracle(field, market):
     # the per-row np.interp of full np.gradient fields that futures_residual
     # read from before it gathered the stencils at the path
@@ -764,17 +773,38 @@ def test_futures_march_fills_rows_in_blocks():
         futures_march(profile, path, m, grid)
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda m: cumulative_rate(SPEC, m.riskless, np.array([0.5, np.nan])),
+_TABLE_RISKLESS = BasicRate.table([0.0, 1.0, 2.0], [0.05, 0.06, 0.055])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda m: cumulative_rate(SPEC, m.riskless, np.array([0.5, np.nan])), "t",
                  id="cumulative_rate"),
-    pytest.param(lambda m: instantaneous_rate(SPEC, m.riskless, np.nan),
+    pytest.param(lambda m: instantaneous_rate(SPEC, m.riskless, np.nan), "t",
                  id="instantaneous_rate"),
-    pytest.param(lambda m: bond_price(m, np.nan, 1.0), id="bond_price"),
-    pytest.param(lambda m: forward_price(m, 1.0, 0.0, np.nan), id="forward_price"),
-    pytest.param(lambda m: term_structure(m, [0.0, np.nan], [1.0]), id="term_structure"),
+    pytest.param(lambda m: bond_price(m, np.nan, 1.0), "t", id="bond_price"),
+    pytest.param(lambda m: forward_price(m, 1.0, 0.0, np.nan), "maturity", id="forward_price"),
+    pytest.param(lambda m: term_structure(m, [0.0, np.nan], [1.0]), "anchor",
+                 id="term_structure"),
+    pytest.param(lambda m: cumulative_rate(SPEC, m.riskless, np.inf), "t",
+                 id="cumulative_rate-inf"),
+    pytest.param(lambda m: instantaneous_rate(SPEC, m.riskless, np.inf), "t",
+                 id="instantaneous_rate-inf"),
+    pytest.param(lambda m: bond_price(m, np.inf, np.inf), "t", id="bond_price-inf"),
+    # the one call that returned a number (0.0) before
+    pytest.param(lambda m: bond_price(m, 0.0, np.inf), "maturity", id="bond_price-maturity-inf"),
+    pytest.param(lambda m: forward_price(m, 1.0, np.inf, np.inf), "t", id="forward_price-inf"),
+    pytest.param(lambda m: price_characteristics(Payoff.power([0.5]), m, 0.0, np.inf, 1.0),
+                 "horizon", id="price_characteristics-inf"),
+    pytest.param(lambda m: term_structure(m, [np.inf], [np.inf]), "anchor",
+                 id="term_structure-inf"),
+    pytest.param(lambda m: power_derivative_beta([0.5], replace(m, riskless=_TABLE_RISKLESS))
+                 .beta(np.inf), "t", id="beta-inf"),
+    pytest.param(lambda m: perpetual_pde_residual(
+        SmoothField(value=lambda t, x: 1.0, d_t=lambda t, x: 0.0, d_x=lambda t, x: 0.0),
+        m, [(np.inf, 1.0)]), "t", id="perpetual_pde_residual-inf"),
 ])
-def test_nan_times_are_rejected(call):
-    with pytest.raises(ValueError, match="nonnegative|t >= 0"):
+def test_nan_times_are_rejected(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite; got (nan|inf)$"):
         call(_market())
 
 

@@ -44,6 +44,12 @@ def test_centered_qv_names_a_bad_block_length(block):
         centered_qv(_flat_path(8, 4), 0.6, block)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_centered_qv_names_a_non_finite_centering_index(h):
+    with pytest.raises(ValueError, match=f"^h_for_centering must be finite; got {h}$"):
+        centered_qv(_flat_path(8, 4), h, 1.0)
+
+
 def test_centered_qv_centering_is_unbiased():
     # E V = 0 under the exact grid law
     h = 0.7
