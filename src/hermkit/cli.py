@@ -54,7 +54,8 @@ JSON.  All randomness derives from the root seed, so reruns are
 byte-identical; wall time goes to standard error only.
 
 Exit status: 0 on success, 2 on validation/usage errors, 1 on numerical
-failures (for example kernel constants beyond the double range).
+failures (for example kernel constants beyond the double range, or a
+result that is not a finite number, which JSON cannot hold).
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ import configparser
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .kernel import HermiteSpec, _time, kernel_l2_norm_sq, normalizing_constant
+from .kernel import HermiteSpec, _real, kernel_l2_norm_sq, normalizing_constant
 from .market import (
     AssetPath,
     BasicRate,
@@ -118,35 +118,36 @@ class OutputRecord:
     seed: int
 
 
-def _floats(raw: str, where: str) -> list[float]:
-    try:
-        return [float(p) for p in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise CliError(f"{where}: expected a comma-separated number list, got {raw!r}") from exc
+# kind -> (one value, a list of them), as the error messages name them
+_KINDS = {float: ("a number", "number list"), int: ("an integer", "integer list")}
 
 
-def _ints(raw: str, where: str) -> list[int]:
+def _numbers(raw: str, where: str, kind=float) -> list:
+    """``raw`` split at commas and blanks, each part read as ``kind``
+    (``float`` or ``int``, exactly): the one number-list parser of flags
+    and config values.  Raises CliError naming ``where``."""
     try:
-        return [int(p) for p in raw.replace(",", " ").split()]
+        return [kind(p) for p in raw.replace(",", " ").split()]
     except ValueError:
-        raise CliError(f"{where}: expected integers, got {raw!r}") from None
-
-
-_CONFIG_KINDS = {float: "a number", int: "an integer", list: "a comma-separated number list"}
+        raise CliError(f"{where} must be a comma-separated {_KINDS[kind][1]}; "
+                       f"got {raw!r}") from None
 
 
 def _config_value(section: Mapping[str, str], key: str, where: str, kind=float):
     """``section[key]`` read as ``kind``: ``float``, ``int`` (exactly, with
-    no float round trip) or ``list`` (of numbers).  The one reader of config
-    values; raises CliError naming ``where`` (file and section) and the key
-    when the key is missing or its value does not parse."""
+    no float round trip) or ``list`` (of numbers, by :func:`_numbers`).  The
+    one reader of config values; raises CliError naming ``where`` (file and
+    section) and the key when the key is missing or its value does not
+    parse."""
     if key not in section:
         raise CliError(f"{where}: missing key {key!r}")
     raw = section[key]
+    if kind is list:
+        return _numbers(raw, f"{where} {key}")
     try:
-        return [float(p) for p in raw.replace(",", " ").split()] if kind is list else kind(raw)
+        return kind(raw)
     except ValueError:
-        raise CliError(f"{where} {key} must be {_CONFIG_KINDS[kind]}; got {raw!r}") from None
+        raise CliError(f"{where} {key} must be {_KINDS[kind][0]}; got {raw!r}") from None
 
 
 def _rate_from_section(
@@ -287,7 +288,11 @@ def _write_json(directory: Path, name: str, record: OutputRecord, payload: dict)
         **payload,
     }
     target = directory / name
-    target.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # JSON has no NaN or Infinity
+        raise FloatingPointError(f"{target}: a result is not a finite number") from None
+    target.write_text(text + "\n")
     return target
 
 
@@ -299,10 +304,7 @@ def _run_setting(args, cfg: RunConfig | None, key: str, default):
     if value is None and cfg is not None:
         value = cfg.run.get(key)
     value = default if value is None else value
-    if not 0 < value < math.inf:
-        raise CliError(f"--{key} (or [run] {key}) must be positive and finite; "
-                       f"got {value}")
-    return value
+    return _real(value, f"--{key} (or [run] {key})", "positive")
 
 
 def _require(value, name: str):
@@ -374,7 +376,7 @@ def _cmd_kernel(args, cfg, out_dir: Path, record: OutputRecord) -> None:
 
 
 def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
-    scales = _ints(args.scales, "--scales")
+    scales = _numbers(args.scales, "--scales", int)
     try:
         with open(args.input, newline="") as buf:
             reader = csv.reader(buf)
@@ -412,7 +414,7 @@ def _cmd_estimate(args, cfg, out_dir: Path, record: OutputRecord) -> None:
 
 def _cmd_qv(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     spec = _spec_from(args, cfg)
-    blocks = sorted(_ints(args.blocks, "--blocks"))
+    blocks = sorted(_numbers(args.blocks, "--blocks", int))
     if len(set(blocks)) < 2:
         raise CliError("--blocks needs at least two distinct block counts to fit a "
                        f"slope; got {args.blocks!r}")
@@ -448,11 +450,11 @@ def _cmd_price_bond(args, cfg, out_dir: Path, record: OutputRecord) -> None:
 
 def _cmd_price_perpetual(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
-    alpha = _floats(args.alpha, "--alpha")
+    alpha = _numbers(args.alpha, "--alpha")
     if len(alpha) != market.d:
         raise CliError(f"--alpha needs {market.d} exponents, got {len(alpha)}")
     beta = power_derivative_beta(alpha, market)
-    spots = _floats(args.spot, "--spot") if args.spot else list(market.initial_prices)
+    spots = _numbers(args.spot, "--spot") if args.spot else list(market.initial_prices)
     price = price_characteristics(
         Payoff.power(alpha), market, args.t, args.horizon, np.asarray(spots)
     )
@@ -483,8 +485,9 @@ def _cmd_price_forward(args, cfg, out_dir: Path, record: OutputRecord) -> None:
 def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
     spec = market.spec
-    horizon = _time(float(args.horizon), "horizon")
-    times = np.linspace(0.0, horizon, 16 * int(args.grid) + 1)
+    horizon = _real(args.horizon, "horizon", "nonnegative")
+    # one point at a zero horizon: an AssetPath's times strictly increase
+    times = np.linspace(0.0, horizon, 16 * int(args.grid) + 1 if horizon > 0.0 else 1)
     skeleton = market.initial_prices[0] * np.exp(
         cumulative_rate(spec, market.drifts[0], times)
     )
@@ -525,10 +528,10 @@ def _cmd_price_futures(args, cfg, out_dir: Path, record: OutputRecord) -> None:
 
 def _cmd_curve(args, cfg, out_dir: Path, record: OutputRecord) -> None:
     market = _market_from(cfg)
-    maturities = _floats(args.maturities, "--maturities")
+    maturities = _numbers(args.maturities, "--maturities")
     if not maturities:
         raise CliError(f"--maturities needs at least one maturity; got {args.maturities!r}")
-    _time(maturities, "maturity")
+    _real(maturities, "maturity", "nonnegative")
     spec, riskless = market.spec, market.riskless
     # one array call each: the anchor's cumulative rate rides in front
     cum = cumulative_rate(spec, riskless, np.array([args.t, *maturities]))

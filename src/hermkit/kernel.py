@@ -41,6 +41,7 @@ interchangeable with ``c_norm``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -67,25 +68,35 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return value
 
 
-def _time(value, name: str, positive: bool = False):
-    """``value`` unchanged: the one time rule of every layer.
+# the least value of each floor: x > 0 exactly when x >= 5e-324, the smallest
+# positive double, and x > -inf when x >= -_MAX, so a floor is one comparison
+_MAX = sys.float_info.max
+_FLOORS = {None: -_MAX, "nonnegative": 0.0, "positive": 5e-324}
 
-    A time is a finite real >= 0, a span (``positive``) a finite real > 0;
-    ``value`` is a Python float, a numpy scalar or an array.  Raises
+
+def _real(value, name: str, floor: str | None = None):
+    """``value`` unchanged: the one real-number rule of every layer.
+
+    A real is finite and, by ``floor``, also ``"nonnegative"`` (>= 0) or
+    ``"positive"`` (> 0); ``value`` is a Python or numpy scalar or an array,
+    and a str, bytes or bool (or an array of them) is not a real.  Raises
     ValueError naming ``name`` and the first bad entry.  A Python float (or
     np.float64) costs two comparisons and no numpy call."""
-    if isinstance(value, float):
-        if 0.0 <= value < math.inf and (value > 0.0 or not positive):
+    low = _FLOORS[floor]
+    if isinstance(value, float) or _is_integer(value):
+        if low <= value <= _MAX:
             return value
         first = value
     else:
-        arr = np.asarray(value, dtype=float)
-        bad = ~((arr > 0.0 if positive else arr >= 0.0) & (arr < math.inf))
-        if not bad.any():
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "fiu":
+            raise ValueError(f"{name} must be a real number; got {value!r}")
+        ok = (arr >= low) & (arr <= _MAX)
+        if ok.all():
             return value
-        first = arr[bad].flat[0]
-    rule = "positive" if positive else "nonnegative"
-    raise ValueError(f"{name} must be {rule} and finite; got {first}")
+        first = arr[~ok].flat[0]
+    rule = f"{floor} and finite" if floor else "finite"
+    raise ValueError(f"{name} must be {rule}; got {first}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,7 @@ class HermiteSpec:
     order: int
 
     def __post_init__(self) -> None:
-        h = float(self.hurst)
+        h = float(_real(self.hurst, "hurst"))
         if not (0.5 < h < 1.0):
             raise ValueError(
                 f"hurst must lie strictly in (0.5, 1); got {self.hurst!r}"
@@ -157,13 +168,11 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_coords(spec: HermiteSpec, v) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    arr = np.atleast_1d(np.asarray(_real(v, "coordinate"), dtype=float))
     if arr.ndim != 1 or arr.size != spec.order:
         raise ValueError(
             f"coordinate vector has length {arr.size}, expected {spec.order}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"coordinates must be finite; got {arr.tolist()}")
     return arr
 
 
@@ -195,7 +204,7 @@ def eval_kernel(spec: HermiteSpec, t: float, v) -> float:
     Raises ValueError for a negative or non-finite ``t`` or a non-finite
     coordinate.
     """
-    _time(t, "t")
+    _real(t, "t", "nonnegative")
     # Canonical descending order makes the result exactly permutation-invariant.
     coords = np.sort(_check_coords(spec, v))[::-1]
     g = spec.gamma
@@ -282,7 +291,7 @@ def kernel_l2_norm_sq(spec: HermiteSpec, t: float) -> float:
     """Squared L2 norm ||K_t||^2 = ||K_1||^2 * t^(2H) over R^order, exact for
     every order.  Raises OverflowError when the value is not a finite double.
     """
-    _time(t, "t", positive=True)
+    _real(t, "t", "positive")
     norm_sq_at_1 = _constants(spec).l2_norm_at_1 ** 2
     try:
         value = norm_sq_at_1 * t ** (2.0 * spec.hurst)
@@ -317,8 +326,8 @@ def covariance(spec: HermiteSpec, s, t):
     t^(2H) on the diagonal and 0 whenever either argument is 0.  Raises
     ValueError on a negative or non-finite time.
     """
-    s_arr = _time(np.asarray(s, dtype=float), "s")
-    t_arr = _time(np.asarray(t, dtype=float), "t")
+    s_arr = np.asarray(_real(s, "s", "nonnegative"), dtype=float)
+    t_arr = np.asarray(_real(t, "t", "nonnegative"), dtype=float)
     h2 = 2.0 * spec.hurst
     out = 0.5 * (t_arr**h2 + s_arr**h2 - np.abs(t_arr - s_arr) ** h2)
     if np.isscalar(s) and np.isscalar(t):

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import HermiteSpec, _time, d_constant, eval_kernel
+from .kernel import HermiteSpec, _real, d_constant, eval_kernel
 from .simulate import SamplePath, StratonovichConfig, _riemann_sites
 
 _RATE_KINDS = ("constant", "polynomial", "table")
@@ -57,15 +57,15 @@ class BasicRate:
                 raise ValueError("table times must be strictly increasing, length >= 2")
             if len(values) != t.size:
                 raise ValueError("table times and values must have equal length")
-        values = np.asarray(self.parameters, dtype=float)
-        if values.size == 0 or not np.all(np.isfinite(values)):
-            raise ValueError(f"{self.kind} rate parameters must be finite and nonempty; "
-                             f"got {self.parameters}")
+        if len(self.parameters) == 0:
+            raise ValueError(f"{self.kind} rate parameters must be nonempty")
+        _real(self.parameters, f"{self.kind} rate parameters")
         if (self.horizon is None) == (self.kind == "polynomial"):
             raise ValueError("a polynomial rate needs a horizon, and no other kind "
                              f"takes one; got {self.kind} with horizon {self.horizon}")
         if self.horizon is not None:
-            _time(self.horizon, "polynomial horizon", positive=True)
+            horizon = _real(self.horizon, "polynomial horizon", "positive")
+            object.__setattr__(self, "horizon", float(horizon))
 
     @classmethod
     def constant(cls, value: float) -> "BasicRate":
@@ -75,7 +75,7 @@ class BasicRate:
     def polynomial(cls, coefficients: Sequence[float], horizon: float = 10.0) -> "BasicRate":
         """Polynomial rate on the working horizon [0, horizon]."""
         return cls(kind="polynomial", parameters=tuple(float(c) for c in coefficients),
-                   horizon=float(horizon))
+                   horizon=horizon)
 
     @classmethod
     def table(cls, times: Sequence[float], values: Sequence[float]) -> "BasicRate":
@@ -148,11 +148,11 @@ def cumulative_rate(spec: HermiteSpec, rate: BasicRate, t):
 
     This is the full integral of the kernel-weighted rate field against the
     kernel, collapsed by the norm identity ||K_t||^2 = ||K_1||^2 t^(2H).
-    Takes a time t, scalar or array, under the time rule (finite, >= 0;
-    :func:`kernel._time` raises ``ValueError`` naming ``t``); exactly 0 at
-    t = 0.  Raises ``ValueError`` past a polynomial rate's horizon too.
+    Takes a time t, scalar or array, finite and >= 0 (:func:`kernel._real`
+    raises ``ValueError`` naming ``t``); exactly 0 at t = 0.  Raises
+    ``ValueError`` past a polynomial rate's horizon too.
     """
-    out = _cumulative(spec, rate, _time(np.asarray(t, dtype=float), "t"))
+    out = _cumulative(spec, rate, np.asarray(_real(t, "t", "nonnegative"), dtype=float))
     return float(out) if np.isscalar(t) else out
 
 
@@ -179,10 +179,10 @@ def instantaneous_rate(spec: HermiteSpec, rate: BasicRate, t):
     Exact product rule D*(rate'(t) t^(2H) + 2H rate(t) t^(2H-1)) for every
     kind, with :meth:`BasicRate.derivative` giving rate'(t) (a table rate's
     right derivative at its nodes).  Returns 0 at t = 0 (the continuous
-    extension: 2H > 1 makes t^(2H-1) vanish there).  t follows the time
-    rule, as in :func:`cumulative_rate`.
+    extension: 2H > 1 makes t^(2H-1) vanish there).  t is checked as in
+    :func:`cumulative_rate`.
     """
-    t_arr = _time(np.asarray(t, dtype=float), "t")
+    t_arr = np.asarray(_real(t, "t", "nonnegative"), dtype=float)
     h2 = 2.0 * spec.hurst
     with np.errstate(invalid="ignore"):
         out = d_constant(spec) * (
@@ -201,7 +201,8 @@ def riskless_price(spec: HermiteSpec, r: BasicRate, t):
 
 @dataclass(frozen=True)
 class AssetPath:
-    """A strictly positive price path on a strictly increasing time grid."""
+    """A strictly positive price path on a strictly increasing grid of times
+    >= 0."""
 
     times: np.ndarray
     prices: np.ndarray
@@ -214,8 +215,8 @@ class AssetPath:
             raise ValueError("times/prices must be equal-length 1-D arrays")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        if not np.all((prices > 0) & (prices < np.inf)):
-            raise ValueError("prices must be strictly positive and finite")
+        _real(times, "times", "nonnegative")
+        _real(prices, "prices", "positive")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "prices", prices)
 
@@ -253,22 +254,24 @@ class MarketSpec:
         if self.riskless.bounds[0] <= 0.0:
             raise ValueError("riskless basic rate must be bounded away from zero "
                              f"(lower bound {self.riskless.bounds[0]})")
-        prices = tuple(float(p) for p in self.initial_prices)
-        if len(prices) != d or not all(p > 0 for p in prices):
-            raise ValueError(f"initial_prices must be {d} positive reals")
+        prices = tuple(float(p) for p in _real(self.initial_prices, "initial price", "positive"))
+        if len(prices) != d:
+            raise ValueError(f"initial_prices must supply one price per asset ({d}); "
+                             f"got {len(prices)}")
         dividends = self.dividends
         if dividends is None:
             dividends = tuple(BasicRate.constant(0.0) for _ in range(d))
         dividends = tuple(dividends)
         if len(dividends) != d:
             raise ValueError(f"dividends must supply one rate per asset ({d})")
-        vol = np.asarray(self.volatility, dtype=float)
+        vol = np.asarray(_real(self.volatility, "volatility entry"), dtype=float)
         if self.volatility_times is None:
             if vol.shape != (d, d):
                 raise ValueError(f"constant volatility must have shape ({d}, {d}); "
                                  f"got {vol.shape}")
         else:
-            vt = _time(np.asarray(self.volatility_times, dtype=float), "volatility time")
+            vt = np.asarray(_real(self.volatility_times, "volatility time", "nonnegative"),
+                            dtype=float)
             if vt.ndim != 1 or np.any(np.diff(vt) <= 0):
                 raise ValueError("volatility_times must be strictly increasing")
             if vol.shape != (vt.size, d, d):
@@ -289,8 +292,8 @@ class MarketSpec:
         return self.volatility_times is None
 
     def sigma(self, t: float) -> np.ndarray:
-        """Volatility matrix at time t, under the time rule (finite, >= 0)."""
-        _time(t, "volatility time")
+        """Volatility matrix at time t (finite, >= 0)."""
+        _real(t, "volatility time", "nonnegative")
         if self.volatility_times is None:
             return self.volatility
         vt = self.volatility_times

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import _integer, _time
+from .kernel import _integer, _real
 from .market import (
     AssetPath,
     BasicRate,
@@ -67,11 +67,9 @@ class Payoff:
     def power(cls, exponents) -> "Payoff":
         """prod_j x_j^alpha_j over the trailing (asset) axis when more than
         one exponent is given, else x^alpha elementwise."""
-        a = np.array([float(e) for e in np.atleast_1d(exponents)])
+        a = np.array([float(e) for e in np.atleast_1d(_real(exponents, "power exponents"))])
         if a.size == 0:
             raise ValueError("power payoff needs at least one exponent")
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"power exponents must be finite; got {a.tolist()}")
         if a.size == 1:
             return cls(lambda x: x ** a[0])
         return cls(lambda x: np.prod(x ** a, axis=-1))
@@ -86,13 +84,12 @@ class Payoff:
     def from_table(cls, nodes, values) -> "Payoff":
         """1-d linear interpolation of (nodes, values), clamped beyond the
         nodes, which must be finite and strictly increasing."""
-        xs = np.array([float(x) for x in nodes])
-        ys = np.array([float(v) for v in values])
-        if xs.size < 1 or not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
-            raise ValueError("payoff table nodes must be finite and strictly increasing; "
-                             f"got {xs.tolist()}")
-        if ys.shape != xs.shape or not np.all(np.isfinite(ys)):
-            raise ValueError(f"payoff table needs one finite value per node; got {ys.tolist()}")
+        xs = np.asarray(_real(nodes, "payoff table nodes"), dtype=float)
+        ys = np.asarray(_real(values, "payoff table values"), dtype=float)
+        if xs.ndim != 1 or xs.size < 1 or not np.all(np.diff(xs) > 0):
+            raise ValueError(f"payoff table nodes must be strictly increasing; got {xs.tolist()}")
+        if ys.shape != xs.shape:
+            raise ValueError(f"payoff table needs one value per node; got {ys.tolist()}")
         return cls(lambda x: np.interp(x, xs, ys))
 
     def __call__(self, x):
@@ -172,9 +169,7 @@ class PricingGrid:
 
     def __post_init__(self) -> None:
         for name in ("x_lo", "x_hi", "t_start", "t_end"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite; got {value}")
+            _real(getattr(self, name), name)
         for name, low in (("nx", 2), ("nt", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not (0.0 < self.x_lo < self.x_hi):
@@ -236,7 +231,7 @@ def perpetual_pde_residual(g: SmoothField, market: MarketSpec, sample_points) ->
     spec = market.spec
     out = []
     for t, x in sample_points:
-        x_vec = np.atleast_1d(np.asarray(x, dtype=float))
+        x_vec = np.atleast_1d(np.asarray(_real(x, "price coordinate", "positive"), dtype=float))
         if x_vec.size != market.d:
             raise ValueError(f"sample point has {x_vec.size} coordinates; need {market.d}")
         r = instantaneous_rate(spec, market.riskless, t)
@@ -258,12 +253,10 @@ def price_characteristics(
     every rate integral taken as an exact cumulative-rate rise from t to the
     horizon.  A one-asset market hands the payoff one Python float.
     """
-    _time(t, "t")
-    if _time(horizon, "horizon") < t:
+    _real(t, "t", "nonnegative")
+    if _real(horizon, "horizon", "nonnegative") < t:
         raise ValueError("horizon must not precede the valuation time")
-    x_vec = np.atleast_1d(np.asarray(x, dtype=float))
-    if not (x_vec > 0).all():
-        raise ValueError("price coordinates must be strictly positive")
+    x_vec = np.atleast_1d(np.asarray(_real(x, "price coordinate", "positive"), dtype=float))
     if x_vec.size != market.d:
         raise ValueError(f"price vector has {x_vec.size} coordinates; need {market.d}")
     dr, *dd = (_rate_rise(market.spec, q, t, horizon)
@@ -352,41 +345,28 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
         beta(t) = 1 - sum_j alpha_j + sum_j alpha_j delta_cum_j(t)/r_cum(t),
 
     which is the constant (1 - sum alpha) + sum alpha_j delta_j / r for
-    constant basic rates (and 1 - alpha with no dividends).  The t -> 0
-    limit replaces the cumulative-rate ratio by the basic-rate ratio.
+    constant basic rates (and 1 - alpha with no dividends).  Every kind's
+    cumulative rate is D * rate(t) * t^(2H), so the ratio delta_cum_j/r_cum
+    is the basic-rate ratio delta_j(t)/r(t) at every t > 0, and its t -> 0
+    limit too: beta(t) takes that form for every t >= 0.
     """
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
+    a = np.atleast_1d(np.asarray(_real(alpha, "alpha"), dtype=float))
     if a.size != market.d:
         raise ValueError(f"alpha has {a.size} entries; need {market.d}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"alpha must be finite; got {a.tolist()}")
-    spec = market.spec
     base = 1.0 - float(a.sum())
 
     def beta(t: float) -> float:
-        if t == 0.0:
-            r0 = market.riskless(0.0)
-            return base + sum(
-                float(ai) * dv(0.0) / r0 for ai, dv in zip(a, market.dividends)
-            )
-        rc = cumulative_rate(spec, market.riskless, t)
-        return base + sum(
-            float(ai) * cumulative_rate(spec, dv, t) / rc
-            for ai, dv in zip(a, market.dividends)
-        )
+        r = market.riskless(_real(t, "t", "nonnegative"))
+        return base + sum(float(ai) * dv(t) / r for ai, dv in zip(a, market.dividends))
 
-    if market.riskless.kind == "constant" and all(
-        dv.kind == "constant" for dv in market.dividends
-    ):
-        const = beta(0.0)
-        return PowerBeta(beta=lambda t: const, constant=const)
-    return PowerBeta(beta=beta, constant=None)
+    constant = all(q.kind == "constant" for q in (market.riskless, *market.dividends))
+    return PowerBeta(beta=beta, constant=beta(0.0) if constant else None)
 
 
 def bond_price(market: MarketSpec, t: float, maturity: float) -> float:
     """Zero-coupon discount Lambda(t, T) = M(t)/M(T) = exp(-(r_cum(T) - r_cum(t)))."""
-    _time(t, "t")
-    if _time(maturity, "maturity") < t:
+    _real(t, "t", "nonnegative")
+    if _real(maturity, "maturity", "nonnegative") < t:
         raise ValueError("maturity precedes the anchor time")
     return math.exp(-_rate_rise(market.spec, market.riskless, t, maturity))
 
@@ -399,8 +379,8 @@ def term_structure(market: MarketSpec, anchors, maturities) -> TermStructure:
     with T < t exceed 1; the multiplicativity identity holds across the
     whole grid.
     """
-    a = _time(np.asarray(anchors, dtype=float), "anchor")
-    m = _time(np.asarray(maturities, dtype=float), "maturity")
+    a = np.asarray(_real(anchors, "anchor", "nonnegative"), dtype=float)
+    m = np.asarray(_real(maturities, "maturity", "nonnegative"), dtype=float)
     spec = market.spec
     rc_a = cumulative_rate(spec, market.riskless, a)
     rc_m = cumulative_rate(spec, market.riskless, m)
@@ -411,8 +391,7 @@ def term_structure(market: MarketSpec, anchors, maturities) -> TermStructure:
 
 def forward_price(market: MarketSpec, s_t: float, t: float, maturity: float) -> float:
     """Forward delivery price F(t, T) = S(t)/Lambda(t, T) (unit bond at 0)."""
-    if not s_t > 0:
-        raise ValueError("spot must be positive")
+    _real(s_t, "spot", "positive")
     return s_t / bond_price(market, t, maturity)
 
 
@@ -426,10 +405,10 @@ def forward_value(
     perpetual form -S(u) + S(t) exp(r_cum(u) - r_cum(t)) valid for every
     u >= t (and exactly 0 at inception u = t).
     """
-    _time(t, "t")
-    if _time(u, "u") < t:
+    _real(t, "t", "nonnegative")
+    if _real(u, "u", "nonnegative") < t:
         raise ValueError("valuation time precedes the inception time")
-    if _time(maturity, "maturity") < t:
+    if _real(maturity, "maturity", "nonnegative") < t:
         raise ValueError("maturity precedes the inception time")
     growth = math.exp(_rate_rise(market.spec, market.riskless, t, u))
     return -path.at(u) + path.at(t) * growth

@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import HermiteSpec, _integer, _is_integer, _time
+from .kernel import HermiteSpec, _integer, _is_integer, _real
 
 _METHODS = ("exact_fbm", "invariance_principle", "subordinated", "observed")
 
@@ -79,8 +79,8 @@ class SamplePath:
             raise ValueError("paths start at t=0 with value 0")
         if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("times and values must be finite")
+        _real(times, "times")
+        _real(values, "values")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}; got {self.method!r}")
         if self.spec is None and self.method != "observed":
@@ -379,7 +379,7 @@ def _grid_steps(n: int, horizon: float) -> int:
     """The step count ceil(n*T) of the grid k/n covering [0, T]; raises
     unless T is positive and finite and n an integer >= 1 (an integral
     float is not)."""
-    _time(horizon, "horizon", positive=True)
+    _real(horizon, "horizon", "positive")
     return math.ceil(_integer(n, "steps per unit time", 1) * horizon)
 
 

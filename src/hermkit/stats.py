@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import HermiteSpec, QuadResult, _integer, _time
+from .kernel import HermiteSpec, QuadResult, _integer, _real
 from .simulate import (
     _MAX_ROOT,
     SamplePath,
@@ -78,7 +78,7 @@ def _uniform_step(times: np.ndarray) -> float:
 def _block_stride(dt: float, block: float) -> int:
     """Grid stride covering one block; raises on a block length that is not
     positive and finite or not a multiple of the grid step."""
-    _time(block, "block length", positive=True)
+    _real(block, "block length", "positive")
     stride = block / dt
     if abs(stride - round(stride)) > 1e-9 * max(stride, 1.0) or round(stride) < 1:
         raise ValueError(
@@ -103,8 +103,7 @@ def centered_qv(path: SamplePath, h_for_centering: float, block: float) -> QVRep
     unit-variance motion with index ``h_for_centering``; for a matching path
     the statistic has mean zero.
     """
-    if not math.isfinite(h_for_centering):
-        raise ValueError(f"h_for_centering must be finite; got {h_for_centering}")
+    _real(h_for_centering, "h_for_centering")
     stride = _block_stride(_uniform_step(path.times), block)
     v, count = _centered_qv_rows(path.values, stride, block, h_for_centering)
     return QVReport(v_stat=float(v), n_blocks=count - 1, block_length=block)
@@ -124,7 +123,7 @@ def _qv_paths(
     one; higher orders need the finer ``steps_per_unit`` grid for the
     invariance principle to hold (the block must remain grid-aligned).
     """
-    horizon = (n_blocks + 1) * _time(block, "block length", positive=True)
+    horizon = (n_blocks + 1) * _real(block, "block length", "positive")
     n = steps_per_unit
     if spec.order == 1:
         coarse = max(1, round(1.0 / block))

@@ -144,7 +144,7 @@ _CONSTANT_RISKLESS = "kind = constant\nvalue = 0.05\n"
 
 @pytest.mark.parametrize("argv, riskless, named", [
     pytest.param(["price", "perpetual", "--alpha", "0.4", "--spot", "nan"], _CONSTANT_RISKLESS,
-                 "price coordinates must be strictly positive", id="nan-spot"),
+                 "price coordinate must be positive and finite; got nan", id="nan-spot"),
     pytest.param(["price", "bond", "--T", "1"],
                  "kind = table\ntimes = 0, 2\nvalues = 0.05, nan\n",
                  "table rate parameters must be finite", id="nan-table-rate"),
@@ -163,6 +163,19 @@ _CONSTANT_RISKLESS = "kind = constant\nvalue = 0.05\n"
                  id="infinite-forward-times"),
     pytest.param(["price", "futures", "--horizon", "inf", "--grid", "8"], _CONSTANT_RISKLESS,
                  "horizon must be nonnegative and finite; got inf", id="infinite-futures-horizon"),
+    pytest.param(["price", "perpetual", "--alpha", "0.4"],
+                 _CONSTANT_RISKLESS + "[asset.1]\nprice = inf\ndrift_value = 0.08\n",
+                 "initial price must be positive and finite; got inf",
+                 id="infinite-config-price"),
+    pytest.param(["price", "perpetual", "--alpha", "0.4"],
+                 _CONSTANT_RISKLESS + "[asset.1]\nprice = 1.0\ndrift_value = 0.08\n"
+                 "[volatility]\nrow1 = nan\n",
+                 "volatility entry must be finite; got nan", id="nan-config-volatility"),
+    pytest.param(["price", "forward", "--T", "1", "--spot", "inf"], _CONSTANT_RISKLESS,
+                 "spot must be positive and finite; got inf", id="infinite-forward-spot"),
+    pytest.param(["price", "perpetual", "--alpha", "0.4", "--spot", "inf"], _CONSTANT_RISKLESS,
+                 "price coordinate must be positive and finite; got inf",
+                 id="infinite-perpetual-spot"),
 ])
 def test_nan_market_inputs_exit_2(tmp_path, capsys, argv, riskless, named):
     cfg = tmp_path / "run.cfg"
@@ -333,6 +346,30 @@ def test_futures_field_export(tmp_path, cfg_file):
     assert math.isfinite(change) and change < 1e-4
 
 
+def test_futures_at_zero_horizon_is_one_row(tmp_path, cfg_file):
+    # the drift skeleton is one point, as an AssetPath's times strictly increase
+    out = tmp_path / "out"
+    assert main(["price", "futures", "--grid", "8", "--horizon", "0",
+                 "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert len((out / "futures.csv").read_text().splitlines()) == 2
+    assert (out / "residual.csv").read_text() == "t,residual\n0.0,0.0\n"
+    payload = _read_json(out, "futures.json")
+    assert payload["integral_T"] == 0.0 and payload["residual_sup"] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_non_finite_result_exits_1_and_writes_no_json(tmp_path, cfg_file, capsys):
+    # 10^400 overflows (numpy warns, as a shell user sees on stderr); JSON
+    # has no Infinity, so the run is a numerical failure
+    out = tmp_path / "out"
+    assert main(["price", "perpetual", "--alpha", "400", "--spot", "10",
+                 "--config", str(cfg_file), "--out", str(out)]) == 1
+    target = out / "perpetual.json"
+    assert (f"numerical failure: {target}: a result is not a finite number"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
 def test_curve_outputs(tmp_path, cfg_file):
     out = tmp_path / "out"
     code = main(["curve", "--maturities", "0.5,1,2", "--config", str(cfg_file),
@@ -421,7 +458,7 @@ def test_estimate_rejects_non_finite_values(tmp_path, capsys, bad):
         f"{k / 64!r},{bad if k == 20 else repr(0.01 * k * (-1) ** k)}\n" for k in range(65)))
     out = tmp_path / "est"
     assert main(["estimate", "--input", str(data), "--out", str(out)]) == 2
-    assert f"error: {data}: times and values must be finite" in capsys.readouterr().err
+    assert f"error: {data}: values must be finite; got {bad}" in capsys.readouterr().err
     assert not (out / "estimate.json").exists()
 
 
@@ -462,7 +499,8 @@ def test_integer_lists_are_parsed_exactly(tmp_path, capsys, argv):
     # "inf" once exited 1 as a numerical failure, and "8.0" passed as 8
     flag, raw = argv[-2:]
     assert main([*argv, "--out", str(tmp_path)]) == 2
-    assert f"error: {flag}: expected integers, got {raw!r}" in capsys.readouterr().err
+    assert (f"error: {flag} must be a comma-separated integer list; got {raw!r}"
+            in capsys.readouterr().err)
 
 
 def test_config_seed_is_parsed_exactly(tmp_path):

@@ -176,7 +176,7 @@ def test_asset_path_reads():
     with pytest.raises(ValueError, match="positive"):
         AssetPath(times=times, prices=times - 1.0)
     for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="^prices must be strictly positive and finite$"):
+        with pytest.raises(ValueError, match=f"^prices must be positive and finite; got {bad}$"):
             AssetPath(times=times, prices=np.where(times == 1.0, bad, 1.0))
 
 

@@ -66,13 +66,14 @@ def test_payoff_constructors_and_eval():
         Payoff.power([])
     with pytest.raises(ValueError, match="fn must be callable"):
         Payoff.from_callable(None)
-    with pytest.raises(ValueError, match="one finite value per node"):
+    with pytest.raises(ValueError, match="one value per node"):
         Payoff.from_table([1.0, 2.0], [0.0])
 
 
 @pytest.mark.parametrize("nodes", [[1.0, np.nan], [2.0, 1.0], [1.0, 1.0], []])
 def test_payoff_table_nodes_must_be_finite_and_increasing(nodes):
-    with pytest.raises(ValueError, match="nodes must be finite and strictly increasing"):
+    rule = "finite; got nan" if np.isnan(nodes).any() else "strictly increasing; got ["
+    with pytest.raises(ValueError, match=f"^payoff table nodes must be {re.escape(rule)}"):
         Payoff.from_table(nodes, [0.0, 1.0][: len(nodes)])
 
 
@@ -393,6 +394,9 @@ def test_power_beta_time_varying_satisfies_budget_identity():
     # short-time limit uses the basic-rate ratio
     assert beta.beta(0.0) == pytest.approx(1 - a + a * 0.02 / 0.1)
     assert beta.beta(1e-9) == pytest.approx(beta.beta(0.0), rel=1e-6)
+    # where both cumulative rates underflow to 0, beta is still their exact
+    # ratio, the basic-rate one
+    assert beta.beta(1e-300) == beta.beta(5e-324) == beta.beta(0.0)
 
 
 def test_power_beta_validation():
@@ -810,14 +814,18 @@ def test_nan_times_are_rejected(call, name):
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda m: AssetPath(times=[0.0, 1.0], prices=[1.0, np.nan]),
-                 "prices must be strictly positive", id="asset-price"),
+                 "^prices must be positive and finite; got nan$", id="asset-price"),
     pytest.param(lambda m: AssetPath(times=[0.0, np.nan, 2.0], prices=[1.0, 1.0, 1.0]),
                  "times must be strictly increasing", id="asset-time"),
+    pytest.param(lambda m: AssetPath(times=[0.0, 1.0, np.inf], prices=[1.0, 1.0, 1.0]),
+                 "^times must be nonnegative and finite; got inf$", id="asset-time-inf"),
+    pytest.param(lambda m: AssetPath(times=[-1.0, 1.0], prices=[1.0, 1.0]),
+                 "^times must be nonnegative and finite; got -1.0$", id="asset-time-negative"),
     pytest.param(lambda m: SamplePath(np.array([0.0, np.nan, 2.0]), np.zeros(3), SPEC,
                                       "exact_fbm", 0),
                  "times must be strictly increasing", id="sample-path-time"),
     pytest.param(lambda m: replace(m, initial_prices=(np.nan,)),
-                 "initial_prices must be 1 positive reals", id="initial-price"),
+                 "^initial price must be positive and finite; got nan$", id="initial-price"),
     pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [np.nan, 0.05, 0.06]),
                  "table rate parameters must be finite", id="table-first-value"),
     pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [0.05, np.nan, 0.06]),
@@ -827,18 +835,33 @@ def test_nan_times_are_rejected(call, name):
     pytest.param(lambda m: BasicRate.polynomial([0.05, np.inf]),
                  "polynomial rate parameters must be finite", id="polynomial-infinite"),
     pytest.param(lambda m: BasicRate.polynomial([]),
-                 "polynomial rate parameters must be finite and nonempty",
+                 "^polynomial rate parameters must be nonempty$",
                  id="polynomial-empty"),
     pytest.param(lambda m: AssetPath(times=[0.0, 1.0], prices=[1.0, 2.0]).at(np.nan),
                  "time nan outside the path span", id="asset-path-at"),
     pytest.param(lambda m: BasicRate.table([0.0, np.nan, 2.0], [0.05, 0.05, 0.05]),
                  "table times must be strictly increasing", id="table-time"),
     pytest.param(lambda m: price_characteristics(Payoff.power(0.4), m, 0.0, 1.0, np.nan),
-                 "price coordinates must be strictly positive", id="spot"),
+                 "^price coordinate must be positive and finite; got nan$", id="spot"),
     pytest.param(lambda m: power_derivative_beta([np.nan], m),
                  "alpha must be finite", id="alpha"),
     pytest.param(lambda m: price_characteristics(Payoff.power(np.nan), m, 0.0, 1.0, 1.0),
                  "power exponents must be finite", id="power-exponent"),
+    pytest.param(lambda m: replace(m, initial_prices=(np.inf,)),
+                 "^initial price must be positive and finite; got inf$", id="initial-price-inf"),
+    pytest.param(lambda m: replace(m, initial_prices=(1.0, 2.0)),
+                 r"^initial_prices must supply one price per asset \(1\); got 2$",
+                 id="initial-price-count"),
+    pytest.param(lambda m: replace(m, volatility=np.array([[np.nan]])),
+                 "^volatility entry must be finite; got nan$", id="volatility"),
+    pytest.param(lambda m: forward_price(m, np.inf, 0.0, 1.0),
+                 "^spot must be positive and finite; got inf$", id="forward-spot"),
+    pytest.param(lambda m: price_characteristics(Payoff.power(0.4), m, 0.0, 1.0, np.inf),
+                 "^price coordinate must be positive and finite; got inf$", id="spot-inf"),
+    pytest.param(lambda m: perpetual_pde_residual(
+        SmoothField(value=lambda t, x: 1.0, d_t=lambda t, x: 0.0, d_x=lambda t, x: 0.0),
+        m, [(0.5, np.nan)]), "^price coordinate must be positive and finite; got nan$",
+        id="perpetual_pde_residual-x"),
 ])
 def test_nan_inputs_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):

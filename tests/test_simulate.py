@@ -117,7 +117,10 @@ def test_sample_path_validation():
     ([0.0, 0.5, math.inf], [0.0, 0.2, -0.1]),
 ])
 def test_sample_path_values_and_times_are_finite(times, values):
-    with pytest.raises(ValueError, match="^times and values must be finite$"):
+    # the times are checked first, and the message names the first bad entry
+    name, bad = next((name, v) for name, row in (("times", times), ("values", values))
+                     for v in row if not math.isfinite(v))
+    with pytest.raises(ValueError, match=f"^{name} must be finite; got {bad}$"):
         SamplePath(np.array(times), np.array(values), None, "observed", 0)
 
 
