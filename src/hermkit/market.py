@@ -52,7 +52,7 @@ class BasicRate:
             raise ValueError(f"kind must be one of {_RATE_KINDS}; got {self.kind!r}")
         if self.kind == "table":
             times, values = self.parameters
-            t = np.asarray(times, dtype=float)
+            t = _real(np.asarray(times, dtype=float), "table times")
             if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
                 raise ValueError("table times must be strictly increasing, length >= 2")
             if len(values) != t.size:
@@ -213,10 +213,10 @@ class AssetPath:
         prices = np.asarray(self.prices, dtype=float)
         if times.ndim != 1 or times.size != prices.size or times.size < 1:
             raise ValueError("times/prices must be equal-length 1-D arrays")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
         _real(times, "times", "nonnegative")
         _real(prices, "prices", "positive")
+        if times.size > 1 and not np.all(np.diff(times) > 0):
+            raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "prices", prices)
 

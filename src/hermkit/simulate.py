@@ -32,10 +32,29 @@ draw.  Monte Carlo callers seed the paths of a run from its root seed with
 :func:`_run_seeds`, the one home of that rule and its limits.
 
 Every caller maps a per-block reduction over the rows with
-:func:`_map_blocks`, which spreads long rows over one thread per usable
-CPU.  The normal draws and the FFT release the GIL, and each row's draws
-start from its own seed's state, so the values are the same bits as on
-the calling thread.
+:func:`_map_blocks`.  Rows of at least _THREAD_STEPS = 513 steps spread
+their blocks over one thread per usable CPU; shorter rows stay on the
+calling thread.  The normal draws and the FFT release the GIL, and each
+row's draws start from its own seed's state, so the values are the same
+bits as on the calling thread.  Each row's seeding and the Python calls
+around its draws hold the GIL, so threads win only once a row's draws and
+FFT outweigh them.  Serial/threaded time per call, median and quartiles
+over 12 alternating process pairs, on 2 vCPUs (Python 3.11.7, numpy
+2.4.6): order 1 with 1000 rows is a ``qv_normalizer`` cell of N = m - 1
+blocks, order 2 with 500 rows the shape of acceptance criterion 02.
+
+    ====  =====  ==============  =======================
+    m     order  rows per block  serial/threaded [q1, q3]
+    ====  =====  ==============  =======================
+    129   1      127             0.79x [0.69, 0.85]
+    257   1      63              1.04x [0.98, 1.14]
+    513   1      31              1.23x [1.04, 1.29]
+    1025  1      15              1.50x [1.30, 1.54]
+    2049  1      7               1.91x [1.63, 2.14]
+    4096  2      4               1.75x [1.55, 1.85]
+    ====  =====  ==============  =======================
+
+_THREAD_STEPS is the shortest measured row length whose quartiles lie above 1x.
 """
 
 from __future__ import annotations
@@ -75,12 +94,12 @@ class SamplePath:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.size != values.size or times.size < 2:
             raise ValueError("times/values must be equal-length 1-D arrays, length >= 2")
+        _real(times, "times")
+        _real(values, "values")
         if times[0] != 0.0 or values[0] != 0.0:
             raise ValueError("paths start at t=0 with value 0")
         if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        _real(times, "times")
-        _real(values, "values")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}; got {self.method!r}")
         if self.spec is None and self.method != "observed":
@@ -403,6 +422,11 @@ def _fill_chunk(order: int, norm: float, scales: np.ndarray, states: np.ndarray,
     paths /= norm
 
 
+# rows of at least this many steps are drawn on worker threads: the measured
+# crossover in the module docstring's table
+_THREAD_STEPS = 513
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -414,8 +438,11 @@ def _map_blocks(spec: HermiteSpec, n: int, horizon: float, seeds, reduce) -> lis
     """``[reduce(start, block), ...]`` over the rows of :func:`simulate_paths`
     in blocks of consecutive seeds, ``start`` the index of a block's first.
 
-    One-row blocks go to one thread per usable CPU.  A worker refills one
-    buffer, so ``reduce`` copies what it keeps, and calls no public name.
+    Rows of at least _THREAD_STEPS steps spread the blocks over
+    min(blocks, usable CPUs) threads, worker i of w taking blocks i, i + w,
+    ...; shorter rows stay on the calling thread (the module docstring
+    gives the measured crossover).  A worker refills one buffer, so
+    ``reduce`` copies what it keeps, and calls no public name.
     Every thread is joined before this returns or raises; the error raised
     is the first failing block's in seed order.
     """
@@ -434,7 +461,7 @@ def _map_blocks(spec: HermiteSpec, n: int, horizon: float, seeds, reduce) -> lis
     norm = partial_sum_std(spec, n)
     scales = _circulant_scales(spec.hurst_prime, m)
     starts = range(0, len(states), rows)
-    workers = min(len(starts), _usable_cpus()) if rows == 1 else 1
+    workers = min(len(starts), _usable_cpus()) if m >= _THREAD_STEPS else 1
     size = min(rows, len(states))
     buffers = [(_fgn_scratch(size, m), np.empty((size, m + 1))) for _ in range(workers)]
     results = [None] * len(starts)
@@ -480,8 +507,8 @@ def simulate_paths(spec: HermiteSpec, n: int, horizon: float, seeds) -> np.ndarr
     Row i is bit-identical to ``simulate_hermite_path(spec, n, horizon,
     seeds[i]).values`` on the grid k/n, k = 0..m = ceil(n*T); the circulant
     spectrum is computed once per (H', m) and the rows share the FFTs.  Rows
-    longer than _CHUNK_POINTS / 4 steps are drawn on one thread per usable
-    CPU (see :func:`_map_blocks`), with the same bits.
+    of at least _THREAD_STEPS steps are drawn on one thread per usable CPU
+    (see :func:`_map_blocks`), with the same bits.
     """
     paths = np.empty((len(seeds), _grid_steps(n, horizon) + 1))
 

@@ -74,17 +74,30 @@ def test_simulate_writes_paths_and_summary(tmp_path, capsys):
     assert re.fullmatch(r"[0-9a-f]{16}", summary["config_digest"])
 
 
-def test_simulate_writes_threaded_paths_in_seed_order(tmp_path, monkeypatch):
-    # rows longer than 8192 steps are drawn on two worker threads; each file
-    # and the variance still come from the engine's rows in seed order
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    assert main(["simulate", "--hurst", "0.7", "--order", "2", "--steps", "8200",
-                 "--paths", "3", "--seed", "11", "--out", str(tmp_path)]) == 0
-    rows = simulate_paths(HermiteSpec(0.7, 2), 8200, 1.0, _run_seeds(11, 3))
+@pytest.mark.parametrize("steps, n_paths", [
+    (8200, 3),  # one-row blocks
+    (1024, 20),  # two 16-row blocks of mid-length rows
+])
+def test_simulate_writes_threaded_paths_in_seed_order(steps, n_paths, tmp_path, monkeypatch):
+    # rows of at least _THREAD_STEPS steps are drawn on worker threads; each
+    # file and the variance still come from the engine's rows in seed order,
+    # byte for byte as on one CPU
+    argv = ["simulate", "--hurst", "0.7", "--order", "2", "--steps", str(steps),
+            "--paths", str(n_paths), "--seed", "11"]
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        assert main(argv + ["--out", str(tmp_path / f"cpus{cpus}")]) == 0
+    serial, threaded = tmp_path / "cpus1", tmp_path / "cpus2"
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in threaded.iterdir())
+    assert len(names) == n_paths + 1
+    for name in names:
+        assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
+    rows = simulate_paths(HermiteSpec(0.7, 2), steps, 1.0, _run_seeds(11, n_paths))
     for k, row in enumerate(rows):
-        t, v = np.loadtxt(tmp_path / f"path_{k}.csv", delimiter=",", skiprows=1, unpack=True)
-        assert np.array_equal(t, np.arange(8201) / 8200) and np.array_equal(v, row)
-    summary = _read_json(tmp_path, "summary.json")
+        t, v = np.loadtxt(threaded / f"path_{k}.csv", delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(t, np.arange(steps + 1) / steps) and np.array_equal(v, row)
+    summary = _read_json(threaded, "summary.json")
     assert summary["variance_at_1"] == float(np.var(rows[:, -1], ddof=1))
 
 
@@ -150,7 +163,7 @@ _CONSTANT_RISKLESS = "kind = constant\nvalue = 0.05\n"
                  "table rate parameters must be finite", id="nan-table-rate"),
     pytest.param(["price", "bond", "--T", "1"],
                  "kind = table\ntimes = 0, nan, 2\nvalues = 0.05, 0.05, 0.05\n",
-                 "table times must be strictly increasing", id="nan-table-time"),
+                 "table times must be finite; got nan", id="nan-table-time"),
     pytest.param(["price", "perpetual", "--alpha", "0.4", "--horizon", "inf"], _CONSTANT_RISKLESS,
                  "horizon must be nonnegative and finite; got inf",
                  id="infinite-perpetual-horizon"),

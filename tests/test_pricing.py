@@ -816,14 +816,14 @@ def test_nan_times_are_rejected(call, name):
     pytest.param(lambda m: AssetPath(times=[0.0, 1.0], prices=[1.0, np.nan]),
                  "^prices must be positive and finite; got nan$", id="asset-price"),
     pytest.param(lambda m: AssetPath(times=[0.0, np.nan, 2.0], prices=[1.0, 1.0, 1.0]),
-                 "times must be strictly increasing", id="asset-time"),
+                 "^times must be nonnegative and finite; got nan$", id="asset-time"),
     pytest.param(lambda m: AssetPath(times=[0.0, 1.0, np.inf], prices=[1.0, 1.0, 1.0]),
                  "^times must be nonnegative and finite; got inf$", id="asset-time-inf"),
     pytest.param(lambda m: AssetPath(times=[-1.0, 1.0], prices=[1.0, 1.0]),
                  "^times must be nonnegative and finite; got -1.0$", id="asset-time-negative"),
     pytest.param(lambda m: SamplePath(np.array([0.0, np.nan, 2.0]), np.zeros(3), SPEC,
                                       "exact_fbm", 0),
-                 "times must be strictly increasing", id="sample-path-time"),
+                 "^times must be finite; got nan$", id="sample-path-time"),
     pytest.param(lambda m: replace(m, initial_prices=(np.nan,)),
                  "^initial price must be positive and finite; got nan$", id="initial-price"),
     pytest.param(lambda m: BasicRate.table([0.0, 1.0, 2.0], [np.nan, 0.05, 0.06]),
@@ -840,7 +840,7 @@ def test_nan_times_are_rejected(call, name):
     pytest.param(lambda m: AssetPath(times=[0.0, 1.0], prices=[1.0, 2.0]).at(np.nan),
                  "time nan outside the path span", id="asset-path-at"),
     pytest.param(lambda m: BasicRate.table([0.0, np.nan, 2.0], [0.05, 0.05, 0.05]),
-                 "table times must be strictly increasing", id="table-time"),
+                 "^table times must be finite; got nan$", id="table-time"),
     pytest.param(lambda m: price_characteristics(Payoff.power(0.4), m, 0.0, 1.0, np.nan),
                  "^price coordinate must be positive and finite; got nan$", id="spot"),
     pytest.param(lambda m: power_derivative_beta([np.nan], m),

@@ -29,6 +29,7 @@ from hermkit import simulate
 from hermkit.cli import main
 from hermkit.simulate import (
     _CHUNK_POINTS,
+    _THREAD_STEPS,
     _circulant_scales,
     _fgn_scratch,
     _map_blocks,
@@ -337,6 +338,7 @@ def test_hermite_paths_are_frozen(order, hurst, n, horizon, seed, digest):
 @pytest.mark.parametrize("order, hurst, n, horizon", [
     (1, 0.6, 1, 129.0),
     (2, 0.7, 64, 4.0),
+    (1, 0.6, 1, 1025.0),  # 15-row blocks of at least _THREAD_STEPS steps: worker threads
     (2, 0.7, 64, 130.0),  # one-row blocks: worker threads
 ])
 def test_simulate_paths_rows_equal_one_row_calls(order, hurst, n, horizon, monkeypatch):
@@ -370,15 +372,28 @@ def test_simulate_paths_peak_memory_stays_near_its_output():
     assert peak < 1.5 * paths.nbytes
 
 
+def _rows_per_block(n, horizon):
+    return _CHUNK_POINTS // (2 * math.ceil(n * horizon))
+
+
 def _one_row_grid():
     """(spec, n, horizon) whose blocks are single rows, so that two or more
     seeds go to worker threads."""
     spec, n, horizon = HermiteSpec(0.7, 2), 64, 130.0
-    assert _CHUNK_POINTS // (2 * math.ceil(n * horizon)) == 1
+    assert _rows_per_block(n, horizon) == 1
     return spec, n, horizon
 
 
-def test_threaded_chunks_raise_the_serial_error(monkeypatch):
+def _multi_row_grid():
+    """(spec, n, horizon) whose blocks hold 15 rows of 1025 steps, long
+    enough for worker threads."""
+    spec, n, horizon = HermiteSpec(0.6, 1), 1, 1025.0
+    assert _rows_per_block(n, horizon) == 15 and 1025 >= _THREAD_STEPS
+    return spec, n, horizon
+
+
+@pytest.mark.parametrize("grid", [_one_row_grid, _multi_row_grid], ids=["one-row", "multi-row"])
+def test_threaded_chunks_raise_the_serial_error(grid, monkeypatch):
     # the rows of the failing seeds fail wherever they are drawn; the caller
     # gets the first failing block's error in seed order, with the type and
     # message of the serial one, and no worker outlives the call
@@ -394,22 +409,26 @@ def test_threaded_chunks_raise_the_serial_error(monkeypatch):
 
     monkeypatch.setattr(simulate, "_pcg64_state", state)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    spec, n, horizon = _one_row_grid()
-    for failing_seeds in ([3],
-                          [2, 5],  # worker 1's block 1 before worker 0's block 4
-                          [3, 4]):  # worker 0's block 2 before worker 1's block 3
+    spec, n, horizon = grid()
+    rows = _rows_per_block(n, horizon)
+    seeds = range(1, 6 * rows + 1)  # blocks 1..6; seed i sits in block (i-1)//rows + 1
+    for failing_blocks in ([3],
+                           [2, 5],  # worker 1's block 1 before worker 0's block 4
+                           [3, 4]):  # worker 0's block 2 before worker 1's block 3
+        # a middle row of each failing block
+        failing_seeds = [(b - 1) * rows + 1 + (rows - 1) // 2 for b in failing_blocks]
         failing[:] = _row_states(failing_seeds).tolist()
         with pytest.raises(ArithmeticError) as serial:
-            simulate_paths(spec, 64, 1.0, failing_seeds[:1])  # many rows per block: no thread
+            simulate_paths(spec, 64, 1.0, failing_seeds[:1])  # short rows: no thread
         threads = threading.active_count()
         kept = []
         with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
-            _map_blocks(spec, n, horizon, [1, 2, 3, 4, 5, 6],
+            _map_blocks(spec, n, horizon, seeds,
                         lambda start, block: kept.append((start + 1, block[0].copy())))
         assert threading.active_count() == threads
         for seed, row in kept:
             assert np.array_equal(row, simulate_hermite_path(spec, n, horizon, seed).values)
-        assert {seed for seed, _ in kept} >= set(range(1, failing_seeds[0]))
+        assert {(seed - 1) // rows + 1 for seed, _ in kept} >= set(range(1, failing_blocks[0]))
 
 
 def test_threaded_start_failure_joins_the_started_workers(monkeypatch):
@@ -435,11 +454,12 @@ def test_threaded_start_failure_joins_the_started_workers(monkeypatch):
     assert len(made) == 2 and not made[0].is_alive()
 
 
-def test_threaded_chunks_under_stress(monkeypatch):
+@pytest.mark.parametrize("grid", [_one_row_grid, _multi_row_grid], ids=["one-row", "multi-row"])
+def test_threaded_chunks_under_stress(grid, monkeypatch):
     # more workers than cores and a short switch interval: every row is still
     # its own seed's, in seed order, and the call ends
-    spec, n, horizon = _one_row_grid()
-    seeds = range(100, 112)
+    spec, n, horizon = grid()
+    seeds = range(100, 100 + 12 * _rows_per_block(n, horizon))  # 12 blocks
     expected = np.array([simulate_hermite_path(spec, n, horizon, s).values for s in seeds])
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 5)
     drawn = []
@@ -453,6 +473,29 @@ def test_threaded_chunks_under_stress(monkeypatch):
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
     assert np.array_equal(drawn[0], expected)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("blocks", [2, 5])
+@pytest.mark.parametrize("steps", [_THREAD_STEPS - 1, _THREAD_STEPS])
+def test_threaded_rows_start_at_thread_steps(steps, blocks, cpus, monkeypatch):
+    # rows shorter than _THREAD_STEPS stay on the calling thread; rows of
+    # that length go to min(blocks, CPUs) workers, one CPU meaning none
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    rows = _rows_per_block(1, steps)
+    seeds = range((blocks - 1) * rows + 1)
+    assert len(_map_blocks(HermiteSpec(0.7, 1), 1, float(steps), seeds,
+                           lambda start, block: None)) == blocks
+    threaded = steps >= _THREAD_STEPS and cpus > 1
+    assert len(started) == (min(blocks, cpus) if threaded else 0)
 
 
 def test_gen_fgn_owns_its_data():

@@ -81,7 +81,10 @@ PARAMETERS = {
         lambda v: hk.simulate_fbm_exact(0.7, 8, v, 3).values, SPANS),
     "subordinate.horizon": ("horizon", "positive", False,
                             lambda v: hk.subordinate(SPEC1, 8, v, 3).values, SPANS),
-    # NaN times fail the increasing check first, so only the values are swept
+    "SamplePath.times": (
+        "times", None, False,
+        lambda v: hk.SamplePath(np.array([0.0, v, 1.0]), np.array([0.0, 0.3, 0.1]), None,
+                                "observed", 0).times, (5e-324, 1e-300, 0.125, 0.5, 0.999)),
     "SamplePath.values": (
         "values", None, False,
         lambda v: hk.SamplePath(np.array([0.0, 0.5, 1.0]), np.array([0.0, v, 0.1]), None,
@@ -109,12 +112,20 @@ PARAMETERS = {
         lambda v: np.append(hk.BasicRate.table([0.0, 1.0], [0.05, v])([0.25, 0.5]),
                             hk.BasicRate.table([0.0, 1.0], [0.05, v]).bounds),
         (-3.0, 0.0, 0.06, 3.0)),
+    "BasicRate.table.times": (
+        "table times", None, False,
+        lambda v: np.append(hk.BasicRate.table([0.0, v, 2.0], [0.05, 0.07, 0.06])([0.25, 1.5]),
+                            hk.BasicRate.table([0.0, v, 2.0], [0.05, 0.07, 0.06]).bounds),
+        (5e-324, 1e-300, 0.25, 1.0, 1.75)),
     "cumulative_rate.t": ("t", "nonnegative", True,
                           lambda v: hk.cumulative_rate(SPEC2, TABLE, v), TIMES),
     "instantaneous_rate.t": ("t", "nonnegative", True,
                              lambda v: hk.instantaneous_rate(SPEC2, TABLE, v), TIMES),
     "riskless_price.t": ("t", "nonnegative", True,
                          lambda v: hk.riskless_price(SPEC2, TABLE, v), TIMES),
+    "AssetPath.times": ("times", "nonnegative", False,
+                        lambda v: hk.AssetPath([0.0, v, 2.0], [1.0, 1.2, 1.5]).at(1.9),
+                        (5e-324, 1e-300, 1e-9, 0.5, 1.0, 1.75)),
     "AssetPath.prices": ("prices", "positive", False,
                          lambda v: hk.AssetPath([0.0, 1.0, 2.0], [1.0, v, 1.5]).at(1.5),
                          PRICES),
@@ -194,8 +205,9 @@ PARAMETERS = {
 
 # the parameters whose call places the probed value inside a list or an
 # array, where a bool is read as 0 or 1: the non-real probe skips them
-EMBEDDED = {"eval_kernel.v", "SamplePath.values", "BasicRate.constant",
-            "BasicRate.polynomial.coefficients", "BasicRate.table.values", "AssetPath.prices",
+EMBEDDED = {"eval_kernel.v", "SamplePath.times", "SamplePath.values", "BasicRate.constant",
+            "BasicRate.polynomial.coefficients", "BasicRate.table.times",
+            "BasicRate.table.values", "AssetPath.times", "AssetPath.prices",
             "MarketSpec.initial_prices", "MarketSpec.volatility", "MarketSpec.volatility_times",
             "Payoff.from_table.nodes", "Payoff.from_table.values", "term_structure.anchors",
             "term_structure.maturities"}
@@ -214,6 +226,7 @@ DIGESTS = {
     "simulate_hermite_path.horizon": "ffecf198b68cbd92",
     "simulate_fbm_exact.horizon": "ffecf198b68cbd92",
     "subordinate.horizon": "03fdbdae7244ce52",
+    "SamplePath.times": "9d6ca59ad38c9913",
     "SamplePath.values": "2d6045267e4648e0",
     "centered_qv.block": "e85832682d78c79a",
     "centered_qv.h_for_centering": "0cc3a12e41303567",
@@ -221,10 +234,12 @@ DIGESTS = {
     "BasicRate.constant": "2f74f702114bc3ef",
     "BasicRate.polynomial.coefficients": "7486ec37ff3f56fc",
     "BasicRate.polynomial.horizon": "b6d89843b6bf972b",
+    "BasicRate.table.times": "f42f8fb8e04ce33e",
     "BasicRate.table.values": "829ccb5a83db2162",
     "cumulative_rate.t": "a21584d5e69a442e",
     "instantaneous_rate.t": "dc1a1e118f2cfd3b",
     "riskless_price.t": "33afea8d04539f6a",
+    "AssetPath.times": "fc925831153e1d5c",
     "AssetPath.prices": "65a9b0032570792e",
     "MarketSpec.initial_prices": "a7232ee8bf163d14",
     "MarketSpec.volatility": "81a39bed28c7054e",
