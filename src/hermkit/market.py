@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,9 +38,11 @@ class BasicRate:
     ``table``: parameters = (times, values), linearly interpolated and
     clamped outside the tabulated range.
 
-    Parameters must be finite.  :attr:`bounds` is derived from them; a
-    riskless rate must have a strictly positive lower bound (the rate stays
-    bounded away from zero).
+    Parameters must be finite; they are kept as tuples of Python floats
+    (a table as a pair of them), so a rate is immutable and hashable, and a
+    caller's list or array can change afterwards without changing the rate.
+    :attr:`bounds` is derived from them; a riskless rate must have a
+    strictly positive lower bound (the rate stays bounded away from zero).
     """
 
     kind: str
@@ -66,21 +68,24 @@ class BasicRate:
         if self.horizon is not None:
             horizon = _real(self.horizon, "polynomial horizon", "positive")
             object.__setattr__(self, "horizon", float(horizon))
+        if self.kind == "table":
+            parameters = tuple(tuple(float(p) for p in part) for part in self.parameters)
+        else:
+            parameters = tuple(float(p) for p in self.parameters)
+        object.__setattr__(self, "parameters", parameters)
 
     @classmethod
     def constant(cls, value: float) -> "BasicRate":
-        return cls(kind="constant", parameters=(float(value),))
+        return cls(kind="constant", parameters=(value,))
 
     @classmethod
     def polynomial(cls, coefficients: Sequence[float], horizon: float = 10.0) -> "BasicRate":
         """Polynomial rate on the working horizon [0, horizon]."""
-        return cls(kind="polynomial", parameters=tuple(float(c) for c in coefficients),
-                   horizon=horizon)
+        return cls(kind="polynomial", parameters=tuple(coefficients), horizon=horizon)
 
     @classmethod
     def table(cls, times: Sequence[float], values: Sequence[float]) -> "BasicRate":
-        return cls(kind="table", parameters=(tuple(float(t) for t in times),
-                                             tuple(float(v) for v in values)))
+        return cls(kind="table", parameters=(times, values))
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -90,11 +95,11 @@ class BasicRate:
         of the derivative (every root's real part inside (0, horizon) is
         evaluated, so none is missed)."""
         if self.kind == "constant":
-            value = float(self.parameters[0])
+            value = self.parameters[0]
             return value, value
         if self.kind == "table":
             values = self.parameters[1]
-            return float(min(values)), float(max(values))
+            return min(values), max(values)
         poly = np.polynomial.polynomial
         crit = poly.polyroots(poly.polyder(self.parameters)).real
         vals = self(np.concatenate(([0.0, self.horizon],
@@ -164,11 +169,21 @@ def _cumulative(spec: HermiteSpec, rate: BasicRate, t_arr: np.ndarray) -> np.nda
     return d_constant(spec) * rate(t_arr) * t_arr ** (2.0 * spec.hurst)
 
 
+@lru_cache(maxsize=256)
 def _rate_rise(spec: HermiteSpec, rate: BasicRate, t: float, u: float) -> float:
     """The cumulative-rate rise cumulative_rate(u) - cumulative_rate(t)
     from time t to time u, as a Python float, from one :func:`_cumulative`
     call on the pair (t, u): the same bits as two scalar calls, with one
-    call's fixed numpy cost.  The caller checks t and u."""
+    call's fixed numpy cost.  The caller checks t and u and passes them as
+    Python floats.
+
+    Memoised: a characteristic price, a bond and a forward each read the
+    rise from t to their horizon, and a loop of prices at one (t, T) reads
+    the same two or three rises again and again.  The value depends only on
+    the hashable, immutable (spec, rate, t, u), so a hit returns the float
+    a miss computes; an error (a polynomial rate past its horizon) is not
+    kept and raises on every call.  256 entries, as ``kernel._constants``.
+    """
     ends = _cumulative(spec, rate, np.array((t, u), dtype=float))
     return float(ends[1] - ends[0])
 
@@ -235,7 +250,8 @@ class MarketSpec:
 
     ``volatility`` is either a constant (d, d) matrix or a (m, d, d) stack
     tabulated at ``volatility_times`` (linearly interpolated entrywise,
-    clamped).  The riskless basic rate must be bounded away from zero.
+    clamped); the market keeps read-only float copies of both arrays.  The
+    riskless basic rate must be bounded away from zero.
     """
 
     spec: HermiteSpec
@@ -264,14 +280,13 @@ class MarketSpec:
         dividends = tuple(dividends)
         if len(dividends) != d:
             raise ValueError(f"dividends must supply one rate per asset ({d})")
-        vol = np.asarray(_real(self.volatility, "volatility entry"), dtype=float)
+        vol = _read_only(_real(self.volatility, "volatility entry"))
         if self.volatility_times is None:
             if vol.shape != (d, d):
                 raise ValueError(f"constant volatility must have shape ({d}, {d}); "
                                  f"got {vol.shape}")
         else:
-            vt = np.asarray(_real(self.volatility_times, "volatility time", "nonnegative"),
-                            dtype=float)
+            vt = _read_only(_real(self.volatility_times, "volatility time", "nonnegative"))
             if vt.ndim != 1 or np.any(np.diff(vt) <= 0):
                 raise ValueError("volatility_times must be strictly increasing")
             if vol.shape != (vt.size, d, d):
@@ -292,7 +307,8 @@ class MarketSpec:
         return self.volatility_times is None
 
     def sigma(self, t: float) -> np.ndarray:
-        """Volatility matrix at time t (finite, >= 0)."""
+        """Volatility matrix at time t (finite, >= 0); a constant
+        volatility is returned as the market's read-only matrix."""
         _real(t, "volatility time", "nonnegative")
         if self.volatility_times is None:
             return self.volatility
@@ -301,6 +317,14 @@ class MarketSpec:
         w = (t - vt[idx - 1]) / (vt[idx] - vt[idx - 1])
         w = min(max(w, 0.0), 1.0)
         return (1.0 - w) * self.volatility[idx - 1] + w * self.volatility[idx]
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only float copy of ``values``, which the caller may go on
+    changing."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _shared_grid(drivers: Sequence[SamplePath]) -> np.ndarray:

@@ -253,8 +253,9 @@ def price_characteristics(
     every rate integral taken as an exact cumulative-rate rise from t to the
     horizon.  A one-asset market hands the payoff one Python float.
     """
-    _real(t, "t", "nonnegative")
-    if _real(horizon, "horizon", "nonnegative") < t:
+    t = float(_real(t, "t", "nonnegative"))
+    horizon = float(_real(horizon, "horizon", "nonnegative"))
+    if horizon < t:
         raise ValueError("horizon must not precede the valuation time")
     x_vec = np.atleast_1d(np.asarray(_real(x, "price coordinate", "positive"), dtype=float))
     if x_vec.size != market.d:
@@ -365,8 +366,9 @@ def power_derivative_beta(alpha, market: MarketSpec) -> PowerBeta:
 
 def bond_price(market: MarketSpec, t: float, maturity: float) -> float:
     """Zero-coupon discount Lambda(t, T) = M(t)/M(T) = exp(-(r_cum(T) - r_cum(t)))."""
-    _real(t, "t", "nonnegative")
-    if _real(maturity, "maturity", "nonnegative") < t:
+    t = float(_real(t, "t", "nonnegative"))
+    maturity = float(_real(maturity, "maturity", "nonnegative"))
+    if maturity < t:
         raise ValueError("maturity precedes the anchor time")
     return math.exp(-_rate_rise(market.spec, market.riskless, t, maturity))
 
@@ -405,8 +407,9 @@ def forward_value(
     perpetual form -S(u) + S(t) exp(r_cum(u) - r_cum(t)) valid for every
     u >= t (and exactly 0 at inception u = t).
     """
-    _real(t, "t", "nonnegative")
-    if _real(u, "u", "nonnegative") < t:
+    t = float(_real(t, "t", "nonnegative"))
+    u = float(_real(u, "u", "nonnegative"))
+    if u < t:
         raise ValueError("valuation time precedes the inception time")
     if _real(maturity, "maturity", "nonnegative") < t:
         raise ValueError("maturity precedes the inception time")

@@ -24,7 +24,13 @@ from hermkit import (
     stock_paths_sde,
 )
 from hermkit.kernel import d_constant
-from hermkit.market import combine_drivers, market_price_of_risk, risk_price_consistency
+from hermkit.market import (
+    _rate_rise,
+    combine_drivers,
+    market_price_of_risk,
+    risk_price_consistency,
+)
+from hermkit.pricing import Payoff, bond_price, forward_value, price_characteristics
 
 SPEC = HermiteSpec(0.7, 2)
 
@@ -100,6 +106,35 @@ def test_polynomial_rate_past_its_horizon_raises():
         rate.derivative(np.array([1.0, 3.0, 4.0]))
 
 
+def test_rates_keep_their_own_float_parameters():
+    # a rate built from the caller's list or arrays keeps floats of its own:
+    # it equals and hashes like the classmethod-built rate, and a later
+    # write to the caller's sequence changes neither its values nor a market
+    values = [0.05]
+    times, levels = np.array([0.0, 1.0, 2.0]), np.array([0.05, 0.06, 0.055])
+    coefficients = np.array([0.05, 0.01])
+    pairs = [(BasicRate("constant", values), BasicRate.constant(0.05)),
+             (BasicRate("table", (times, levels)), BasicRate.table([0.0, 1.0, 2.0],
+                                                                   [0.05, 0.06, 0.055])),
+             (BasicRate("polynomial", coefficients, 2.0),
+              BasicRate.polynomial([0.05, 0.01], horizon=2.0)),
+             (BasicRate("constant", [np.int64(1)]), BasicRate.constant(1.0))]
+    for rate, built in pairs:
+        assert rate == built and hash(rate) == hash(built)
+        flat = rate.parameters if rate.kind != "table" else sum(rate.parameters, ())
+        assert all(type(p) is float for p in flat)
+    market = MarketSpec(spec=SPEC, riskless=pairs[0][0], drifts=(BasicRate.constant(0.08),),
+                        volatility=np.array([[0.2]]), initial_prices=(1.0,))
+    before = cumulative_rate(SPEC, market.riskless, 1.0)
+    values[0] = -0.5
+    times[0], levels[:] = -1.0, -1.0
+    coefficients[:] = -1.0
+    for rate, built in pairs:
+        assert rate == built and rate.bounds == built.bounds
+        assert rate(1.5) == built(1.5) and rate(0.0) == built(0.0)
+    assert cumulative_rate(SPEC, market.riskless, 1.0) == before
+
+
 def test_cumulative_rate_form_and_anchor():
     r = BasicRate.constant(0.05)
     t = np.array([0.0, 0.5, 1.0, 2.0])
@@ -108,6 +143,50 @@ def test_cumulative_rate_form_and_anchor():
     assert cum[0] == 0.0
     assert np.allclose(cum, d * 0.05 * t ** (2 * SPEC.hurst))
     assert np.all(np.diff(cum) > 0)
+
+
+@pytest.mark.parametrize("hurst, order", [(0.6, 1), (0.7, 2), (0.9, 3)])
+def test_memoised_rate_rise_keeps_the_bits(hurst, order):
+    # a miss gives the two scalar cumulative rates' difference bit for bit,
+    # a hit the very float the unmemoised function computes
+    spec = HermiteSpec(hurst, order)
+    rng = np.random.default_rng(order)
+    rates = (BasicRate.constant(0.05), BasicRate.polynomial([0.05, 0.01, -0.002], horizon=2.0),
+             BasicRate.table([0.0, 0.5, 1.0, 2.0], [0.05, 0.06, 0.055, 0.065]))
+    edges = [(0.0, 0.0), (0.0, 2.0), (1.0, 1.0), (2.0, 2.0)]
+    for rate in rates:
+        _rate_rise.cache_clear()
+        pairs = edges + np.sort(rng.uniform(0.0, 2.0, (2000, 2)), axis=1).tolist()
+        for t, u in pairs:
+            rise = _rate_rise(spec, rate, t, u)
+            expected = cumulative_rate(spec, rate, u) - cumulative_rate(spec, rate, t)
+            assert rise.hex() == expected.hex(), (rate.kind, t, u)
+        hits = _rate_rise.cache_info().hits
+        for t, u in pairs[-256:]:
+            assert _rate_rise(spec, rate, t, u).hex() == \
+                _rate_rise.__wrapped__(spec, rate, t, u).hex()
+        assert _rate_rise.cache_info().hits == hits + 256
+    # an error is not kept: past a polynomial's horizon every call raises
+    late = BasicRate.polynomial([0.05, -0.01], horizon=2.0)
+    size = _rate_rise.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"holds up to its horizon 2\.0; got t=3\.0"):
+            _rate_rise(spec, late, 0.0, 3.0)
+    assert _rate_rise.cache_info().currsize == size
+
+
+def test_memoised_callers_take_numpy_times():
+    # the memo key is made of Python floats, so a 0-d array or a numpy
+    # scalar time prices as the float does
+    market = _market(delta=0.01)
+    power = Payoff.power(0.5)
+    path = AssetPath(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.1, 1.3]))
+    for t, u in ((np.array(0.25), np.array(1.5)), (np.float64(0.25), np.float64(1.5))):
+        assert bond_price(market, t, u) == bond_price(market, 0.25, 1.5)
+        assert price_characteristics(power, market, t, u, 1.2) == \
+            price_characteristics(power, market, 0.25, 1.5, 1.2)
+        assert forward_value(market, path, t, 2.0, u) == \
+            forward_value(market, path, 0.25, 2.0, 1.5)
 
 
 def test_instantaneous_integrates_back_to_cumulative():
@@ -242,6 +321,30 @@ def test_sigma_names_a_nan_time():
                            match=r"^volatility time must be nonnegative and finite; got nan$"):
             market.sigma(math.nan)
     assert np.allclose(tabulated.sigma(0.5), [[0.25]], rtol=1e-15, atol=0.0)
+
+
+def test_market_keeps_read_only_copies_of_its_volatility():
+    vol, stack, times = np.array([[0.2]]), np.array([[[0.2]], [[0.3]]]), np.array([0.0, 1.0])
+    mid = (0.5 * stack[0] + 0.5 * stack[1]).tolist()
+    constant = MarketSpec(spec=SPEC, riskless=BasicRate.constant(0.05),
+                          drifts=(BasicRate.constant(0.08),), volatility=vol,
+                          initial_prices=(1.0,))
+    tabulated = MarketSpec(spec=SPEC, riskless=BasicRate.constant(0.05),
+                           drifts=(BasicRate.constant(0.08),), volatility=stack,
+                           initial_prices=(1.0,), volatility_times=times)
+    assert constant.volatility is not vol and tabulated.volatility_times is not times
+    # the caller's arrays can change after the finite check ...
+    vol[0, 0], stack[1, 0, 0], times[1] = np.nan, np.nan, 0.5
+    assert constant.sigma(0.5).tolist() == [[0.2]]
+    assert tabulated.sigma(0.5).tolist() == mid
+    # ... and so can the matrix sigma returns, without reaching the market
+    with pytest.raises(ValueError, match="read-only"):
+        constant.sigma(0.5)[0, 0] = np.nan
+    tabulated.sigma(1.0)[0, 0] = np.nan
+    assert constant.sigma(0.5).tolist() == [[0.2]] and tabulated.sigma(1.0).tolist() == [[0.3]]
+    for market in (constant, tabulated):
+        assert not market.volatility.flags.writeable
+    assert not tabulated.volatility_times.flags.writeable
 
 
 def test_deflation_round_trip():
